@@ -29,9 +29,9 @@
 // A plan is immutable after Build, borrows the graph's CSR arrays (it
 // must not outlive the graph, nor survive Apply* reweighting — it is a
 // function of the probabilities), and is shared freely across threads.
-// Consumers cache plans where the graph lives: `RrCollection` builds one
-// lazily for cold generation, `RrStreamCache` builds one per bound graph
-// so sweeps and the serve daemon's warm pools pay the build once.
+// Consumers cache plans where the graph lives: `RrStreamCache` — which
+// every `RrCollection` samples through — builds one per bound graph, so
+// a solve, a sweep, or the serve daemon's warm pools pay the build once.
 #pragma once
 
 #include <cstdint>

@@ -1,5 +1,7 @@
 #include "rrset/imm.h"
 
+#include <math.h>
+
 #include <cmath>
 
 #include "common/check.h"
@@ -9,7 +11,12 @@ namespace uic {
 
 double LogChoose(double n, double k) {
   if (k <= 0 || k >= n) return 0.0;
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  // lgamma_r, not std::lgamma: std::lgamma also writes the global
+  // `signgam`, a data race between concurrent solves. Same glibc kernel,
+  // bit-identical values.
+  int sign = 0;
+  return lgamma_r(n + 1.0, &sign) - lgamma_r(k + 1.0, &sign) -
+         lgamma_r(n - k + 1.0, &sign);
 }
 
 double LambdaPrime(double n, double k, double eps_prime, double ell_prime) {

@@ -193,172 +193,80 @@ RrCollection::RrCollection(const Graph& graph, uint64_t seed,
       cache_(options.stream_cache) {
   if (workers_ == 0) workers_ = DefaultWorkers();
   if (pool_ == nullptr) pool_ = &ThreadPool::Shared();
-  SeedStreams(seed);
-  stream_pos_.assign(kRrStreams, 0);
+  if (cache_ == nullptr) {
+    owned_cache_ = std::make_unique<RrStreamCache>();
+    cache_ = owned_cache_.get();
+  } else {
+    // A shared cache may outlive a borrowed plan: it builds its own.
+    options_.sampling_plan = nullptr;
+  }
   index_degree_.assign(graph_.num_nodes(), 0);
 }
 
-void RrCollection::SeedStreams(uint64_t seed) {
-  streams_.clear();
-  streams_.reserve(kRrStreams);
-  for (unsigned s = 0; s < kRrStreams; ++s) {
-    streams_.push_back(Rng::Split(seed, s));
-  }
+RrCollection::~RrCollection() = default;
+
+std::span<const NodeId> RrCollection::Set(size_t r) const {
+  const auto* entry = static_cast<const RrStreamCache::Entry*>(cache_entry_);
+  const RrStreamCache::Sample& s =
+      entry->streams[r % kRrStreams].samples[r / kRrStreams];
+  return {s.data, s.data + s.size};
 }
 
-void RrCollection::Clear() {
-  // Stream positions (cold: the RNG states; warm: stream_pos_) persist, so
-  // growth after Clear continues the sample streams where they left off.
-  sets_.clear();
-  arenas_.clear();
+void RrCollection::Reset(uint64_t seed) {
+  size_ = 0;
   total_nodes_ = 0;
   edges_examined_ = 0;
   index_.clear();
   index_degree_.assign(graph_.num_nodes(), 0);
-}
-
-void RrCollection::Reset(uint64_t seed) {
-  Clear();
   seed_ = seed;
-  SeedStreams(seed);
-  stream_pos_.assign(kRrStreams, 0);
   cache_entry_ = nullptr;  // re-bound (to the new seed's entry) on next growth
+  // Nothing else reads a private cache's samples, so free them now (the
+  // plan survives): PRIMA's phase pool must not outlive its regeneration.
+  if (owned_cache_ != nullptr) owned_cache_->entries_.clear();
 }
 
 void RrCollection::GenerateUntil(size_t target) {
-  if (target <= size()) return;
-  const size_t first = sets_.size();
-  if (cache_ != nullptr) {
-    GenerateFromCache(first, target);
-  } else {
-    EnsurePlan();
-    GenerateFresh(first, target);
-  }
-  UIC_CHECK_GE(size(), target);
-  ExtendIndex(first);
-}
-
-void RrCollection::EnsurePlan() {
-  if (ResolveSamplingKernel(options_.kernel) != SamplingKernel::kSkip ||
-      options_.sampling_plan != nullptr) {
-    return;
-  }
-  if (plan_ == nullptr) {
-    plan_ = SamplingPlan::Build(graph_, SamplingPlan::Direction::kReverse,
-                                options_.linear_threshold
-                                    ? SamplingPlan::kLtAlias
-                                    : SamplingPlan::kIcBuckets);
-  }
-  options_.sampling_plan = plan_.get();
-}
-
-void RrCollection::GenerateFresh(size_t first, size_t target) {
-  // Each logical stream samples its slice of [first, target) — the global
-  // indices g with g % kRrStreams == s, i.e. the next QuotBegin(target, s)
-  // − QuotBegin(first, s) draws of its persistent RNG — into its own
-  // arena. `workers_` only bounds how many streams run concurrently; the
-  // pool content depends on the seed alone.
-  struct StreamOut {
-    std::vector<uint32_t> sizes;
-    std::vector<NodeId> nodes;
-    size_t edges = 0;
-  };
-  std::array<StreamOut, kRrStreams> outs;
-  pool_->ParallelFor(
-      kRrStreams, workers_, [&](unsigned, size_t sb, size_t se) {
-        for (size_t s = sb; s < se; ++s) {
-          const size_t q0 = QuotBegin(first, static_cast<unsigned>(s));
-          const size_t q1 = QuotBegin(target, static_cast<unsigned>(s));
-          if (q1 <= q0) continue;
-          RrSampler sampler(graph_, options_);
-          StreamOut& out = outs[s];
-          for (size_t q = q0; q < q1; ++q) {
-            const size_t before = out.nodes.size();
-            out.edges += sampler.SampleAppend(streams_[s], &out.nodes);
-            out.sizes.push_back(static_cast<uint32_t>(out.nodes.size() -
-                                                      before));
-          }
-        }
-      });
-
-  // Merge by move: each stream arena becomes collection storage as-is (its
-  // heap buffer, and thus every SetRef into it, stays stable), then the
-  // SetRefs are laid down in global-index order.
-  sets_.reserve(target);
-  std::array<const NodeId*, kRrStreams> base{};
-  std::array<size_t, kRrStreams> off{};
-  std::array<size_t, kRrStreams> idx{};
-  uint64_t edges_round = 0;
-  for (unsigned s = 0; s < kRrStreams; ++s) {
-    StreamOut& out = outs[s];
-    edges_examined_ += out.edges;
-    edges_round += out.edges;
-    total_nodes_ += out.nodes.size();
-    stream_pos_[s] += out.sizes.size();
-    if (!out.nodes.empty()) {
-      arenas_.push_back(std::move(out.nodes));
-      base[s] = arenas_.back().data();
-    }
-  }
-  for (size_t g = first; g < target; ++g) {
-    const unsigned s = static_cast<unsigned>(g % kRrStreams);
-    const uint32_t sz = outs[s].sizes[idx[s]++];
-    sets_.push_back(SetRef{base[s] + off[s], sz});
-    off[s] += sz;
-  }
-  // One batched add per growth round (not per set) keeps the instrument
-  // cost off the sampling hot path.
-  UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
-                     "RR sets freshly sampled (cold path + cache fills).");
-  rr_sets.Add(target - first);
-  UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
-                     "Edges examined by the RR sampling kernels.");
-  rr_edges.Add(edges_round);
-}
-
-void RrCollection::GenerateFromCache(size_t first, size_t target) {
+  if (target <= size_) return;
+  const size_t first = size_;
   auto* entry = static_cast<RrStreamCache::Entry*>(cache_entry_);
   if (entry == nullptr) {
     cache_->BindGraph(graph_);
     entry = cache_->GetEntry(seed_, options_);
     cache_entry_ = entry;
   }
-  // Extend the cache streams (in parallel) past this round's high-water
-  // marks; streams already long enough cost nothing.
+  // Extend the cache streams (in parallel) to this round's high-water
+  // marks; streams already long enough cost nothing. `workers_` only
+  // bounds how many streams run concurrently; the pool content depends on
+  // the seed alone.
   pool_->ParallelFor(
       kRrStreams, workers_, [&](unsigned, size_t sb, size_t se) {
         for (size_t s = sb; s < se; ++s) {
           const unsigned su = static_cast<unsigned>(s);
-          const size_t grow = QuotBegin(target, su) - QuotBegin(first, su);
-          if (grow == 0) continue;
-          cache_->EnsureSamples(entry, su, stream_pos_[s] + grow);
+          cache_->EnsureSamples(entry, su, QuotBegin(target, su));
         }
       });
-
-  // Serve the slices — byte-for-byte the sets GenerateFresh would have
-  // drawn, since cache streams replay the same RNG sequences.
-  sets_.reserve(target);
-  std::array<size_t, kRrStreams> taken{};
   for (size_t g = first; g < target; ++g) {
-    const unsigned s = static_cast<unsigned>(g % kRrStreams);
     const RrStreamCache::Sample& smp =
-        entry->streams[s].samples[stream_pos_[s] + taken[s]];
-    ++taken[s];
-    sets_.push_back(SetRef{smp.data, smp.size});
+        entry->streams[g % kRrStreams].samples[g / kRrStreams];
     total_nodes_ += smp.size;
     edges_examined_ += smp.edges;
   }
-  for (unsigned s = 0; s < kRrStreams; ++s) stream_pos_[s] += taken[s];
-  cache_->served_sets_ += target - first;
-  UIC_METRIC_COUNTER(rr_served, "uic_rr_cache_sets_served_total",
-                     "RR sets served by warm-cache stream replay.");
-  rr_served.Add(target - first);
+  size_ = target;
+  if (owned_cache_ == nullptr) {
+    // Replay accounting covers attached caches only: a private cache's
+    // sets were all just drawn, and are counted as sampled.
+    cache_->served_sets_ += target - first;
+    UIC_METRIC_COUNTER(rr_served, "uic_rr_cache_sets_served_total",
+                       "RR sets served by warm-cache stream replay.");
+    rr_served.Add(target - first);
+  }
+  ExtendIndex(first);
 }
 
 void RrCollection::ExtendIndex(size_t first_new) {
-  const size_t num_new = sets_.size() - first_new;
+  const size_t num_new = size_ - first_new;
   if (num_new == 0) return;
-  UIC_CHECK_LT(sets_.size(), size_t{UINT32_MAX});  // ids are uint32
+  UIC_CHECK_LT(size_, size_t{UINT32_MAX});  // ids are uint32
   const size_t n = graph_.num_nodes();
 
   // Logical workers for this delta build; ParallelFor clamps identically,
@@ -370,14 +278,27 @@ void RrCollection::ExtendIndex(size_t first_new) {
   if (iw > by_work) iw = static_cast<unsigned>(by_work);
   if (iw < 1) iw = 1;
 
+  // The bound entry's per-stream sample arrays: set g is
+  // samples[g % kRrStreams][g / kRrStreams].
+  const auto* entry = static_cast<const RrStreamCache::Entry*>(cache_entry_);
+  std::array<const RrStreamCache::Sample*, kRrStreams> samples{};
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    samples[s] = entry->streams[s].samples.data();
+  }
+
   // Pass 1 (parallel): per-(worker, node) occurrence counts over each
-  // worker's slice of the new sets.
+  // worker's slice of the new sets. Counting is order-free, so each
+  // stream's share of the slice is read sequentially.
   std::vector<uint32_t> scratch(static_cast<size_t>(iw) * n, 0);
   uint32_t* counts = scratch.data();
   pool_->ParallelFor(num_new, iw, [&](unsigned w, size_t begin, size_t end) {
     uint32_t* cnt = counts + static_cast<size_t>(w) * n;
-    for (size_t r = begin; r < end; ++r) {
-      for (NodeId v : Set(first_new + r)) ++cnt[v];
+    for (unsigned s = 0; s < kRrStreams; ++s) {
+      const size_t q_end = QuotBegin(first_new + end, s);
+      for (size_t q = QuotBegin(first_new + begin, s); q < q_end; ++q) {
+        const RrStreamCache::Sample& set = samples[s][q];
+        for (uint32_t i = 0; i < set.size; ++i) ++cnt[set.data[i]];
+      }
     }
   });
 
@@ -412,7 +333,12 @@ void RrCollection::ExtendIndex(size_t first_new) {
     uint32_t* cur = counts + static_cast<size_t>(w) * n;
     for (size_t r = begin; r < end; ++r) {
       const uint32_t id = static_cast<uint32_t>(first_new + r);
-      for (NodeId v : Set(id)) slots[off[v] + cur[v]++] = id;
+      const RrStreamCache::Sample& set =
+          samples[id % kRrStreams][id / kRrStreams];
+      for (uint32_t i = 0; i < set.size; ++i) {
+        const NodeId v = set.data[i];
+        slots[off[v] + cur[v]++] = id;
+      }
     }
   });
   index_.push_back(std::move(delta));

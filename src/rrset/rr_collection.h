@@ -7,23 +7,23 @@
 //
 // `RrCollection` is the RR engine's state: a growing pool of RR sets plus
 // the inverted node→RR-set coverage index NodeSelection consumes, both
-// maintained *incrementally* — every `GenerateUntil` round appends
-// per-stream arenas by move and extends the index with a CSR delta built
-// in parallel, so nothing is recomputed when the pool only grows. All
-// parallel work runs on a persistent `ThreadPool` (the process-wide
-// shared pool by default); no threads are spawned per round.
+// maintained *incrementally* — every `GenerateUntil` round extends the
+// sample streams and the index with a CSR delta built in parallel, so
+// nothing is recomputed when the pool only grows. All parallel work runs
+// on a persistent `ThreadPool` (the process-wide shared pool by default);
+// no threads are spawned per round.
 //
 // Generation is deterministic in the seed ALONE: the pool is a fixed grid
 // of `kRrStreams` logical sample streams, and RR set g is always drawn as
 // sample g / kRrStreams of stream g % kRrStreams. Pool content at any size
 // is therefore a pure function of (graph, options, seed) — independent of
 // the worker count, the physical thread count, and the sequence of
-// `GenerateUntil` targets used to reach that size. Two consequences the
-// rest of the system builds on:
-//   * every solver above the engine is worker-count invariant, and
-//   * any pool is a prefix of one deterministic infinite sequence, so a
-//     sweep can serve it warm from an `RrStreamCache` (rr_stream_cache.h)
-//     with bit-identical results.
+// `GenerateUntil` targets used to reach that size. Every set is drawn and
+// stored by an `RrStreamCache` (rr_stream_cache.h): a cold collection owns
+// a private one, a warm one shares a cache across solver invocations.
+// There is one sampling path, so warm and cold pools are bit-identical by
+// construction, and every solver above the engine is worker-count
+// invariant.
 #pragma once
 
 #include <cstdint>
@@ -60,12 +60,13 @@ struct RrOptions {
   bool linear_threshold = false;
 
   /// Optional warm-start hook (the sweep engine's pool-reuse point): when
-  /// set, `GenerateUntil` serves samples from the cache — extending it by
-  /// sampling only past its high-water mark — instead of drawing them
-  /// fresh. Results are bit-identical to a cold collection; only the
-  /// number of sets sampled from scratch changes. Does not affect
-  /// sampling semantics, so it is ignored by the cache's own entry
-  /// keying. The cache must outlive the collection.
+  /// set, `GenerateUntil` serves samples from this shared cache —
+  /// extending it by sampling only past its high-water mark — instead of
+  /// a private cache the collection owns (nullptr = cold). Results are
+  /// bit-identical either way; only the number of sets sampled from
+  /// scratch changes. Does not affect sampling semantics, so it is
+  /// ignored by the cache's own entry keying. The cache must outlive the
+  /// collection.
   RrStreamCache* stream_cache = nullptr;
 
   /// Sampling kernel (graph/sampling_plan.h). kScan is the legacy
@@ -80,11 +81,13 @@ struct RrOptions {
   SamplingKernel kernel = SamplingKernel::kAuto;
 
   /// Optional pre-built reverse-direction sampling plan for the graph.
-  /// Borrowed, not owned, and non-semantic like `stream_cache`: a plan is
-  /// a pure function of the graph, so sharing one only moves the one-time
-  /// build cost — never the sampled pool. nullptr = consumers build and
-  /// cache their own when the resolved kernel needs one (RrCollection per
-  /// cold collection, RrStreamCache per bound graph).
+  /// Borrowed, not owned (it must outlive the consumer), and non-semantic
+  /// like `stream_cache`: a plan is a pure function of the graph, so
+  /// sharing one only moves the one-time build cost — never the sampled
+  /// pool. A cold collection's private cache and a standalone RrSampler
+  /// use it; a shared `stream_cache` ignores it (the cache may outlive
+  /// the plan) and builds its own. nullptr = consumers build and cache
+  /// their own when the resolved kernel needs one.
   const SamplingPlan* sampling_plan = nullptr;
 };
 
@@ -98,10 +101,10 @@ class RrCollection {
   /// `ThreadPool::Shared()`. The pool must outlive the collection.
   RrCollection(const Graph& graph, uint64_t seed, unsigned workers = 0,
                RrOptions options = {}, ThreadPool* pool = nullptr);
+  ~RrCollection();
 
-  // Not copyable: SetRef entries point into this collection's arena
-  // buffers (or a shared RrStreamCache's), so a copy would alias storage
-  // the source frees on Clear()/destruction.
+  // Not copyable: the sets live in a cache entry the collection is bound
+  // to (its own private cache when cold).
   RrCollection(const RrCollection&) = delete;
   RrCollection& operator=(const RrCollection&) = delete;
 
@@ -109,13 +112,10 @@ class RrCollection {
   /// coverage index with the new sets.
   void GenerateUntil(size_t target);
 
-  size_t size() const { return sets_.size(); }
+  size_t size() const { return size_; }
 
-  /// Nodes of RR set `r`.
-  std::span<const NodeId> Set(size_t r) const {
-    const SetRef& s = sets_[r];
-    return {s.data, s.data + s.size};
-  }
+  /// Nodes of RR set `r` (sample r / kRrStreams of stream r % kRrStreams).
+  std::span<const NodeId> Set(size_t r) const;
 
   /// Total Σ_r |R_r| (memory proxy; also the NodeSelection cost).
   size_t TotalNodes() const { return total_nodes_; }
@@ -127,23 +127,20 @@ class RrCollection {
 
   unsigned workers() const { return workers_; }
 
-  /// Drop all sets and the index (used by the regeneration fix of
-  /// PRIMA/IMM: the final NodeSelection must run on freshly sampled sets).
-  /// Stream positions persist: subsequent growth continues the streams
-  /// where they left off, exactly as the underlying RNGs would.
-  void Clear();
-
-  /// Clear *and* reseed the sample streams: the collection becomes
-  /// indistinguishable from a freshly constructed `RrCollection(graph,
-  /// seed, workers, options)` while keeping its thread pool and any
-  /// attached stream cache. This is how one engine instance serves a
-  /// whole solver invocation, including PRIMA's regeneration pass.
+  /// Drop all sets and the index and reseed the sample streams: the
+  /// collection becomes indistinguishable from a freshly constructed
+  /// `RrCollection(graph, seed, workers, options)` while keeping its
+  /// thread pool and any attached stream cache. A private cache frees its
+  /// samples here (its sampling plan is kept). This is how one engine
+  /// instance serves a whole solver invocation, including the
+  /// regeneration fix of PRIMA/IMM: the final NodeSelection must run on
+  /// freshly sampled sets.
   void Reset(uint64_t seed);
 
   // --- Coverage index ---------------------------------------------------
   // Maintained by GenerateUntil (extended per growth round, in parallel)
-  // and invalidated only by Clear()/Reset(). For every node v it lists the
-  // ids of the RR sets containing v, in ascending id order.
+  // and invalidated only by Reset(). For every node v it lists the ids of
+  // the RR sets containing v, in ascending id order.
 
   /// Number of RR sets containing `v`.
   uint32_t IndexDegree(NodeId v) const { return index_degree_[v]; }
@@ -164,15 +161,6 @@ class RrCollection {
   size_t IndexDeltaCount() const { return index_.size(); }
 
  private:
-  /// An RR set lives contiguously inside one of the per-stream arenas
-  /// (owned by this collection, or by the attached stream cache); arena
-  /// buffers are never touched after the move, so the pointer stays valid
-  /// until Clear() (resp. cache destruction).
-  struct SetRef {
-    const NodeId* data;
-    uint32_t size;
-  };
-
   /// One growth round's contribution to the inverted index, in CSR form:
   /// `sets[off[v] .. off[v+1])` are the ids of this round's RR sets that
   /// contain v. Offsets are size_t (a delta can hold the whole pool after
@@ -183,22 +171,6 @@ class RrCollection {
     std::vector<size_t> off;     // graph.num_nodes() + 1
     std::vector<uint32_t> sets;  // global RR set ids, ascending per node
   };
-
-  void SeedStreams(uint64_t seed);
-
-  /// Make `options_.sampling_plan` usable before cold generation fans
-  /// out: when the resolved kernel needs a plan and none was supplied,
-  /// build one (once) and keep it for the collection's lifetime, so the
-  /// per-stream samplers share it instead of each building their own.
-  void EnsurePlan();
-
-  /// Cold growth: draw this round's per-stream slices from the
-  /// collection-owned RNG streams into fresh arenas.
-  void GenerateFresh(size_t first, size_t target);
-
-  /// Warm growth: serve this round's slices from the attached stream
-  /// cache, extending the cache past its high-water mark as needed.
-  void GenerateFromCache(size_t first, size_t target);
 
   /// Build the CSR delta for the new sets [first_new, size()) in parallel
   /// and append it to the index, merging deltas per the tiering policy.
@@ -217,18 +189,12 @@ class RrCollection {
   unsigned workers_;
   ThreadPool* pool_;
   uint64_t seed_;
-  std::vector<Rng> streams_;       ///< cold-path RNGs, one per logical stream
-  std::vector<size_t> stream_pos_; ///< samples consumed per stream since Reset
 
-  RrStreamCache* cache_ = nullptr;       ///< nullptr = cold
-  void* cache_entry_ = nullptr;          ///< RrStreamCache::Entry*, lazily bound
+  std::unique_ptr<RrStreamCache> owned_cache_;  ///< the private cache (cold)
+  RrStreamCache* cache_;                        ///< owned_cache_ or shared
+  void* cache_entry_ = nullptr;  ///< RrStreamCache::Entry*, lazily bound
 
-  /// Lazily built by EnsurePlan when the kernel needs one and the caller
-  /// did not supply `options_.sampling_plan`.
-  std::shared_ptr<const SamplingPlan> plan_;
-
-  std::vector<std::vector<NodeId>> arenas_;  ///< moved-in stream buffers
-  std::vector<SetRef> sets_;
+  size_t size_ = 0;
   size_t total_nodes_ = 0;
   size_t edges_examined_ = 0;
 

@@ -74,22 +74,23 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
   e->kernel = kernel;
   if (has_pp) e->pass_prob = *options.node_pass_prob;
   if (kernel == SamplingKernel::kSkip) {
-    // One plan per bound graph and feature, shared across entries; built
-    // here (serially) so concurrent EnsureSamples calls only read it.
-    std::shared_ptr<const SamplingPlan>& plan =
-        options.linear_threshold ? lt_plan_ : ic_plan_;
-    if (plan == nullptr) {
-      plan = SamplingPlan::Build(*graph_, SamplingPlan::Direction::kReverse,
-                                 options.linear_threshold
-                                     ? SamplingPlan::kLtAlias
-                                     : SamplingPlan::kIcBuckets);
+    e->plan = options.sampling_plan;
+    if (e->plan == nullptr) {
+      // One plan per bound graph and feature, shared across entries; built
+      // here (serially) so concurrent EnsureSamples calls only read it.
+      std::shared_ptr<const SamplingPlan>& plan =
+          options.linear_threshold ? lt_plan_ : ic_plan_;
+      if (plan == nullptr) {
+        plan = SamplingPlan::Build(*graph_, SamplingPlan::Direction::kReverse,
+                                   options.linear_threshold
+                                       ? SamplingPlan::kLtAlias
+                                       : SamplingPlan::kIcBuckets);
+      }
+      e->plan = plan.get();
     }
-    e->plan = plan;
   }
   e->streams.resize(kRrStreams);
   for (unsigned s = 0; s < kRrStreams; ++s) {
-    // Must match RrCollection::SeedStreams so cached draws replay exactly
-    // the cold RNG sequences.
     e->streams[s].rng = Rng::Split(seed, s);
   }
   entries_.push_back(std::move(e));
@@ -105,43 +106,41 @@ void RrStreamCache::EnsureSamples(Entry* entry, unsigned s, size_t count) {
   options.linear_threshold = entry->linear_threshold;
   if (entry->has_pass_prob) options.node_pass_prob = &entry->pass_prob;
   options.kernel = entry->kernel;
-  options.sampling_plan = entry->plan.get();
+  options.sampling_plan = entry->plan;
   RrSampler sampler(*graph_, options);
 
-  // Draw the whole extension into one arena, then publish the sample refs
-  // (arena buffers are never touched again, so the pointers stay stable
-  // for the cache's lifetime).
-  struct Meta {
-    size_t offset;
-    uint32_t size;
-    size_t edges;
-  };
-  const size_t need = count - stream.samples.size();
-  std::vector<Meta> metas;
-  metas.reserve(need);
+  // Draw the whole extension into one arena, then point the new samples
+  // into it (arena buffers are never touched again, so the pointers stay
+  // stable for the cache's lifetime).
+  const size_t first = stream.samples.size();
+  stream.samples.reserve(count);
   std::vector<NodeId> nodes;
-  for (size_t i = 0; i < need; ++i) {
-    const size_t before = nodes.size();
-    const size_t edges = sampler.SampleAppend(stream.rng, &nodes);
-    metas.push_back(
-        {before, static_cast<uint32_t>(nodes.size() - before), edges});
-  }
-  sampled_sets_.fetch_add(need, std::memory_order_relaxed);
-  sampled_nodes_.fetch_add(nodes.size(), std::memory_order_relaxed);
   uint64_t edges_total = 0;
-  for (const Meta& m : metas) edges_total += m.edges;
+  while (stream.samples.size() < count) {
+    const size_t before = nodes.size();
+    // Cast is exact: edges <= num_edges() < 2^32 (see Sample::edges).
+    const auto edges =
+        static_cast<uint32_t>(sampler.SampleAppend(stream.rng, &nodes));
+    stream.samples.push_back(
+        Sample{nullptr, static_cast<uint32_t>(nodes.size() - before), edges});
+    edges_total += edges;
+  }
+  stream.arenas.push_back(std::move(nodes));
+  const NodeId* data = stream.arenas.back().data();
+  for (size_t i = first; i < count; ++i) {
+    stream.samples[i].data = data;
+    data += stream.samples[i].size;
+  }
+  const size_t need = count - first;
+  sampled_sets_.fetch_add(need, std::memory_order_relaxed);
+  sampled_nodes_.fetch_add(stream.arenas.back().size(),
+                           std::memory_order_relaxed);
   UIC_METRIC_COUNTER(rr_sets, "uic_rr_sets_sampled_total",
                      "RR sets freshly sampled (cold path + cache fills).");
   rr_sets.Add(need);
   UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
                      "Edges examined by the RR sampling kernels.");
   rr_edges.Add(edges_total);
-  stream.arenas.push_back(std::move(nodes));
-  const NodeId* base = stream.arenas.back().data();
-  stream.samples.reserve(count);
-  for (const Meta& m : metas) {
-    stream.samples.push_back(Sample{base + m.offset, m.size, m.edges});
-  }
 }
 
 }  // namespace uic

@@ -1,17 +1,17 @@
-// Warm RR-sample reuse across solver invocations (the sweep engine's pool
-// cache).
+// Memoized RR sample streams: the RR engine's one sampling path, and the
+// sweep engine's and serve daemon's warm pool cache.
 //
 // RR generation is organized as `kRrStreams` logical sample streams, and a
 // stream's sample sequence is a pure function of (graph, sampling options,
 // seed, stream index) — see rr_collection.h. An `RrStreamCache` memoizes
-// those sequences: when an `RrCollection` is constructed with
-// `RrOptions::stream_cache` set, `GenerateUntil` *serves* samples from the
-// cache (extending it by actually sampling only past the high-water mark)
-// instead of re-drawing them. Because the served samples are byte-for-byte
-// what a cold collection would have drawn, every consumer — PRIMA's phase
-// loop, its regeneration pass, IMM, the Com-IC coin samplers — produces
-// bit-identical results warm or cold; the only difference is how many RR
-// sets are sampled from scratch.
+// those sequences, and every `RrCollection` draws its sets through one: a
+// cold collection through a private cache it owns, a warm one through the
+// cache passed as `RrOptions::stream_cache`, which `GenerateUntil` extends
+// by actually sampling only past the high-water mark. Because a shared
+// cache serves byte-for-byte what a private one draws, every consumer —
+// PRIMA's phase loop, its regeneration pass, IMM, the Com-IC coin
+// samplers — produces bit-identical results warm or cold; the only
+// difference is how many RR sets are sampled from scratch.
 //
 // This is what makes budget sweeps cheap: consecutive PRIMA invocations at
 // growing budgets use the same master seed, so their phase pools (and,
@@ -46,7 +46,7 @@ class RrStreamCache {
  public:
   RrStreamCache() = default;
 
-  // Not copyable: collections hold SetRefs into the cache's arenas.
+  // Not copyable: collections read their sets from the cache's entries.
   RrStreamCache(const RrStreamCache&) = delete;
   RrStreamCache& operator=(const RrStreamCache&) = delete;
 
@@ -62,7 +62,7 @@ class RrStreamCache {
   Stats stats() const;
 
   /// Drop every entry (collections serving from this cache must be
-  /// discarded first — their SetRefs alias the cache's arenas).
+  /// discarded first — their sets live in the cache's entries).
   void Clear();
 
   /// Drop all but the `keep` most recently created node-pass-probability
@@ -79,11 +79,16 @@ class RrStreamCache {
   friend class RrCollection;
 
   /// One memoized sample: nodes live in an arena owned by the stream.
+  /// The pool's only per-set record besides its nodes, so kept at 16 B.
   struct Sample {
     const NodeId* data;
     uint32_t size;
-    size_t edges;  ///< in-edges examined while drawing it (EPT accounting)
+    /// In-edges examined while drawing it (EPT accounting). Each in-edge
+    /// counts at most once per set, and CSR offsets are uint32_t, so this
+    /// is at most num_edges() < 2^32.
+    uint32_t edges;
   };
+  static_assert(sizeof(Sample) == 16);
 
   /// One logical stream's materialized prefix.
   struct Stream {
@@ -103,17 +108,20 @@ class RrStreamCache {
     SamplingKernel kernel = SamplingKernel::kSkip;  ///< resolved, never kAuto
     std::vector<float> pass_prob;  ///< copied contents, exact-match keyed
     std::vector<Stream> streams;   ///< kRrStreams
-    /// Cache-owned plan the entry's samplers run on (null for kScan);
-    /// shared across entries and built once per bound graph. Building it
-    /// in GetEntry — serially, before EnsureSamples fans out — is what
-    /// keeps the concurrent stream extensions free of shared mutation.
-    std::shared_ptr<const SamplingPlan> plan;
+    /// Plan the entry's samplers run on (null for kScan): the caller's
+    /// `RrOptions::sampling_plan` if set, else a cache-owned plan shared
+    /// across entries and built once per bound graph. Resolving it in
+    /// GetEntry — serially, before EnsureSamples fans out — is what keeps
+    /// the concurrent stream extensions free of shared mutation.
+    const SamplingPlan* plan = nullptr;
   };
 
   /// Bind to (or verify against) `graph`; the cache serves one graph.
   void BindGraph(const Graph& graph);
 
-  /// Find-or-create the entry for (seed, options-semantics).
+  /// Find-or-create the entry for (seed, options-semantics). A new entry
+  /// borrows `options.sampling_plan` when set, so only a cache its
+  /// collection owns may be handed one.
   Entry* GetEntry(uint64_t seed, const RrOptions& options);
 
   /// Extend `entry`'s stream `s` until it holds at least `count` samples.

@@ -47,68 +47,14 @@ RequestInstruments& RequestAccounting() {
   return instruments;
 }
 
-/// Per-verb completion counter. The roster is closed (unknown verbs fall
-/// into one bucket), so every series exists from first use with a literal
-/// label — the exposition schema never depends on client input.
-void AccountVerb(const std::string& verb) {
-  UIC_METRIC_COUNTER_LABELED(c_ping, "uic_serve_verb_requests_total",
-                             "verb=\"ping\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_stats, "uic_serve_verb_requests_total",
-                             "verb=\"stats\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_metrics, "uic_serve_verb_requests_total",
-                             "verb=\"metrics\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_shutdown, "uic_serve_verb_requests_total",
-                             "verb=\"shutdown\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_set_failpoints,
-                             "uic_serve_verb_requests_total",
-                             "verb=\"set_failpoints\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_unload, "uic_serve_verb_requests_total",
-                             "verb=\"unload\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_load_graph, "uic_serve_verb_requests_total",
-                             "verb=\"load_graph\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_load_params, "uic_serve_verb_requests_total",
-                             "verb=\"load_params\"",
-                             "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_solve, "uic_serve_verb_requests_total",
-                             "verb=\"solve\"", "Requests answered, by verb.");
-  UIC_METRIC_COUNTER_LABELED(c_other, "uic_serve_verb_requests_total",
-                             "verb=\"other\"", "Requests answered, by verb.");
-  if (verb == "solve") {
-    c_solve.Add();
-  } else if (verb == "ping") {
-    c_ping.Add();
-  } else if (verb == "stats") {
-    c_stats.Add();
-  } else if (verb == "metrics") {
-    c_metrics.Add();
-  } else if (verb == "load_graph") {
-    c_load_graph.Add();
-  } else if (verb == "load_params") {
-    c_load_params.Add();
-  } else if (verb == "unload") {
-    c_unload.Add();
-  } else if (verb == "shutdown") {
-    c_shutdown.Add();
-  } else if (verb == "set_failpoints") {
-    c_set_failpoints.Add();
-  } else {
-    c_other.Add();
-  }
-}
-
 /// One accounting path for every answered request (including lines that
 /// fail to parse, recorded under verb "other"). The ok/error tally is
 /// recorded before the solve tally at its call site, so `solves <= ok`
 /// holds whenever the instance is quiesced.
-void AccountRequest(const std::string& verb, bool ok) {
+void AccountRequest(obs::Counter& verb_requests, bool ok) {
   RequestInstruments& m = RequestAccounting();
   (ok ? m.ok : m.errors).Add();
-  AccountVerb(verb);
+  verb_requests.Add();
 }
 
 std::string GetStringField(const Json& body, const char* key,
@@ -163,13 +109,98 @@ Json AllocationToJson(const Allocation& allocation) {
   return out;
 }
 
-/// RAII admission-slot return.
+/// RAII admission-slot return (a no-op until a slot is taken).
 struct SlotGuard {
-  AdmissionController* admission;
-  ~SlotGuard() { admission->Release(); }
+  AdmissionController* admission = nullptr;
+  ~SlotGuard() {
+    if (admission != nullptr) admission->Release();
+  }
 };
 
+// The per-verb completion counter of one verb's row.
+#define UIC_VERB_COUNTER(var, verb)                                \
+  UIC_METRIC_COUNTER_LABELED(var, "uic_serve_verb_requests_total", \
+                             "verb=\"" verb "\"",                 \
+                             "Requests answered, by verb.")
+
 }  // namespace
+
+struct Server::Verb {
+  /// How HandleRequest runs the handler and when it counts the request.
+  enum class Mode {
+    kReport,    ///< never fails; counted first, so stats/metrics see it
+    kDirect,    ///< runs at once; counted by its outcome
+    kAdmitted,  ///< runs in an admission slot (may shed or queue)
+  };
+  const char* name;
+  obs::Counter& requests;  ///< uic_serve_verb_requests_total{verb=name}
+  Mode mode;
+  Result<Json> (*handle)(Server&, Call&);
+};
+
+const Server::Verb& Server::FindVerb(const std::string& name) {
+  // The verb="…" label set is closed (unknown verbs count as "other"), so
+  // every series exists from first use with a literal label — the
+  // exposition schema never depends on client input.
+  UIC_VERB_COUNTER(c_ping, "ping");
+  UIC_VERB_COUNTER(c_stats, "stats");
+  UIC_VERB_COUNTER(c_metrics, "metrics");
+  UIC_VERB_COUNTER(c_shutdown, "shutdown");
+  UIC_VERB_COUNTER(c_set_failpoints, "set_failpoints");
+  UIC_VERB_COUNTER(c_unload, "unload");
+  UIC_VERB_COUNTER(c_load_graph, "load_graph");
+  UIC_VERB_COUNTER(c_load_params, "load_params");
+  UIC_VERB_COUNTER(c_solve, "solve");
+  UIC_VERB_COUNTER(c_other, "other");
+  using enum Verb::Mode;
+  static const Verb kVerbs[] = {
+      {"ping", c_ping, kReport,
+       [](Server&, Call&) -> Result<Json> {
+         Json result = Json::Object();
+         result.Set("pong", Json::Bool(true));
+         return result;
+       }},
+      {"stats", c_stats, kReport,
+       [](Server& server, Call&) -> Result<Json> { return server.Stats(); }},
+      {"metrics", c_metrics, kReport,
+       [](Server& server, Call&) -> Result<Json> {
+         Json result = Json::Object();
+         result.Set("format", Json::Str("prometheus-text"));
+         result.Set("text", Json::Str(server.MetricsText()));
+         return result;
+       }},
+      {"shutdown", c_shutdown, kReport,
+       [](Server& server, Call&) -> Result<Json> {
+         server.BeginDrain();
+         Json result = Json::Object();
+         result.Set("draining", Json::Bool(true));
+         return result;
+       }},
+      {"set_failpoints", c_set_failpoints, kDirect,
+       [](Server& server, Call& call) -> Result<Json> {
+         if (!server.options_.testing) {
+           return Status::FailedPrecondition(
+               "set_failpoints requires a --testing daemon");
+         }
+         return server.DoSetFailpoints(call.request.body);
+       }},
+      {"unload", c_unload, kDirect,
+       [](Server& server, Call& call) {
+         return server.DoUnload(call.request.body);
+       }},
+      {"load_graph", c_load_graph, kAdmitted,
+       [](Server& server, Call& call) { return server.DoLoadGraph(call); }},
+      {"load_params", c_load_params, kAdmitted,
+       [](Server& server, Call& call) { return server.DoLoadParams(call); }},
+      {"solve", c_solve, kAdmitted,
+       [](Server& server, Call& call) { return server.DoSolve(call); }},
+  };
+  static const Verb kOther{"other", c_other, kDirect, nullptr};
+  for (const Verb& verb : kVerbs) {
+    if (name == verb.name) return verb;
+  }
+  return kOther;
+}
 
 Server::Server(ServerOptions options, std::atomic<bool>* stop)
     : options_(options),
@@ -227,7 +258,7 @@ std::string Server::MetricsText() const {
 std::string Server::HandleLine(const std::string& line) {
   Result<Request> parsed = ParseRequest(line);
   if (!parsed.ok()) {
-    AccountRequest("", false);
+    AccountRequest(FindVerb("").requests, false);
     return ErrorResponse(Json::Null(), ErrorCode::kBadRequest,
                          parsed.status().message());
   }
@@ -235,138 +266,64 @@ std::string Server::HandleLine(const std::string& line) {
 }
 
 std::string Server::HandleRequest(const Request& request) {
-  // Started at arrival so deadline_ms bounds the whole request — queueing
-  // AND solving — not just the wait for admission.
-  WallTimer request_timer;
-  const Json& id = request.id;
-  const std::string& verb = request.verb;
-
-  if (verb == "ping") {
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("pong", Json::Bool(true));
-    return OkResponse(id, result, Json::Null());
-  }
-  if (verb == "stats") {
-    AccountRequest(verb, true);
-    return OkResponse(id, Stats(), Json::Null());
-  }
-  if (verb == "metrics") {
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("format", Json::Str("prometheus-text"));
-    result.Set("text", Json::Str(MetricsText()));
-    return OkResponse(id, result, Json::Null());
-  }
-  if (verb == "shutdown") {
-    BeginDrain();
-    AccountRequest(verb, true);
-    Json result = Json::Object();
-    result.Set("draining", Json::Bool(true));
-    return OkResponse(id, result, Json::Null());
-  }
-  if (verb == "set_failpoints") {
-    if (!options_.testing) {
-      AccountRequest(verb, false);
-      return ErrorResponse(id, ErrorCode::kFailedPrecondition,
-                           "set_failpoints requires a --testing daemon");
-    }
-    Result<Json> result = DoSetFailpoints(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      return ErrorResponse(id, CodeFromStatus(result.status()),
-                           result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
-  }
-  if (verb == "unload") {
-    Result<Json> result = DoUnload(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      return ErrorResponse(id, CodeFromStatus(result.status()),
-                           result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
+  Call call(request);
+  const Verb& verb = FindVerb(request.verb);
+  if (verb.handle == nullptr) {
+    AccountRequest(verb.requests, false);
+    return ErrorResponse(request.id, ErrorCode::kBadRequest,
+                         "unknown verb '" + request.verb + "'");
   }
 
-  if (verb == "load_graph" || verb == "load_params" || verb == "solve") {
-    double queued_ms = 0.0;
+  if (verb.mode == Verb::Mode::kReport) AccountRequest(verb.requests, true);
+  SlotGuard slot;
+  if (verb.mode == Verb::Mode::kAdmitted) {
     AdmissionController::Decision decision;
     {
       obs::TraceSpan wait_span("serve.admission_wait");
-      decision = admission_.Admit(request.deadline_ms, &queued_ms);
+      decision = admission_.Admit(request.deadline_ms, &call.queued_ms);
     }
     switch (decision) {
       case AdmissionController::Decision::kShed:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kOverloaded,
+        AccountRequest(verb.requests, false);
+        return ErrorResponse(request.id, ErrorCode::kOverloaded,
                              "admission queue full; retry later");
       case AdmissionController::Decision::kDeadlineExceeded:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kDeadlineExceeded,
+        AccountRequest(verb.requests, false);
+        return ErrorResponse(request.id, ErrorCode::kDeadlineExceeded,
                              "request exceeded its deadline_ms while queued");
       case AdmissionController::Decision::kDraining:
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kUnavailable,
+        AccountRequest(verb.requests, false);
+        return ErrorResponse(request.id, ErrorCode::kUnavailable,
                              "server is draining for shutdown");
       case AdmissionController::Decision::kAdmitted:
+        slot.admission = &admission_;
         break;
     }
-    SlotGuard slot{&admission_};
-
-    if (verb == "solve") {
-      obs::TraceSpan solve_span("serve.solve");
-      // Post-admission site: error(...) exercises the typed internal
-      // error path; delay_ms(n) pins a solve in flight (the SIGTERM-drain
-      // and mid-solve-deadline tests) without touching solver code.
-      const failpoint::Hit fp = UIC_FAILPOINT("serve.solve.admitted");
-      if (fp.action == failpoint::Action::kError) {
-        AccountRequest(verb, false);
-        return ErrorResponse(id, ErrorCode::kInternal,
-                             "injected fault at serve.solve.admitted");
-      }
-      failpoint::SleepFor(fp);
-      Json serve_info;
-      Json partial;
-      double solve_ms = 0.0;
-      Result<Json> result =
-          DoSolve(request.body, queued_ms, request.deadline_ms,
-                  request_timer, &serve_info, &partial, &solve_ms);
-      // Single accounting site for the solve invariant: ok is recorded
-      // first, then the solve tally — and only for an ok response, so a
-      // deadline-exceeded solve counts as an error, never a solve.
-      AccountRequest(verb, result.ok());
-      solve_span.SetAttr("ok", result.ok() ? 1 : 0);
-      if (!result.ok()) {
-        return ErrorResponse(id, CodeFromStatus(result.status()),
-                             result.status().message(), partial);
-      }
-      RequestInstruments& m = RequestAccounting();
-      m.solves.Add();
-      m.solve_latency_ms.Observe(solve_ms);
-      return OkResponse(id, result.value(), serve_info);
-    }
-    Result<Json> result = verb == "load_graph" ? DoLoadGraph(request.body)
-                                               : DoLoadParams(request.body);
-    AccountRequest(verb, result.ok());
-    if (!result.ok()) {
-      // The registry caps are admission control: a full registry sheds
-      // the load (kOverloaded) rather than reporting a client mistake.
-      const ErrorCode code =
-          result.status().code() == Status::Code::kFailedPrecondition
-              ? ErrorCode::kOverloaded
-              : CodeFromStatus(result.status());
-      return ErrorResponse(id, code, result.status().message());
-    }
-    return OkResponse(id, result.value(), Json::Null());
   }
 
-  AccountRequest(verb, false);
-  return ErrorResponse(id, ErrorCode::kBadRequest,
-                       "unknown verb '" + verb + "'");
+  Result<Json> result = verb.handle(*this, call);
+  // Single accounting site for the solve invariant: ok is recorded first,
+  // then the solve tally — and only for an ok response, so a
+  // deadline-exceeded solve counts as an error, never a solve.
+  if (verb.mode != Verb::Mode::kReport) {
+    AccountRequest(verb.requests, result.ok());
+  }
+  if (!result.ok()) {
+    const ErrorCode code =
+        call.shed ? ErrorCode::kOverloaded : CodeFromStatus(result.status());
+    return ErrorResponse(request.id, code, result.status().message(),
+                         call.partial);
+  }
+  if (call.solve_ms.has_value()) {
+    RequestInstruments& m = RequestAccounting();
+    m.solves.Add();
+    m.solve_latency_ms.Observe(*call.solve_ms);
+  }
+  return OkResponse(request.id, result.value(), call.serve_info);
 }
 
-Result<Json> Server::DoLoadGraph(const Json& body) {
+Result<Json> Server::DoLoadGraph(Call& call) {
+  const Json& body = call.request.body;
   const std::string name = GetStringField(body, "name");
   if (name.empty()) {
     return Status::InvalidArgument("load_graph needs a 'name'");
@@ -375,7 +332,12 @@ Result<Json> Server::DoLoadGraph(const Json& body) {
   if (!graph.ok()) return graph.status();
   Result<GraphSession> session =
       sessions_.AddGraph(name, graph.MoveValue());
-  if (!session.ok()) return session.status();
+  if (!session.ok()) {
+    // The registry caps are admission control: a full registry sheds the
+    // load (kOverloaded) rather than reporting a client mistake.
+    call.shed = session.status().code() == Status::Code::kFailedPrecondition;
+    return session.status();
+  }
   // A same-name replace retires the old generation's warm entries: the
   // old graph object stays alive only for solves already holding a pin.
   Json result = Json::Object();
@@ -388,7 +350,8 @@ Result<Json> Server::DoLoadGraph(const Json& body) {
   return result;
 }
 
-Result<Json> Server::DoLoadParams(const Json& body) {
+Result<Json> Server::DoLoadParams(Call& call) {
+  const Json& body = call.request.body;
   const std::string name = GetStringField(body, "name");
   if (name.empty()) {
     return Status::InvalidArgument("load_params needs a 'name'");
@@ -397,7 +360,11 @@ Result<Json> Server::DoLoadParams(const Json& body) {
   if (!params.ok()) return params.status();
   Result<ParamsSession> session =
       sessions_.AddParams(name, params.MoveValue());
-  if (!session.ok()) return session.status();
+  if (!session.ok()) {
+    // As for graphs: a full registry sheds the load.
+    call.shed = session.status().code() == Status::Code::kFailedPrecondition;
+    return session.status();
+  }
   Json result = Json::Object();
   result.Set("name", Json::Str(session.value().name));
   result.Set("generation",
@@ -449,11 +416,23 @@ Result<Json> Server::DoSetFailpoints(const Json& body) {
   return result;
 }
 
-Result<Json> Server::DoSolve(const Json& body, double queued_ms,
-                             double deadline_ms,
-                             const WallTimer& request_timer,
-                             Json* serve_info, Json* partial,
-                             double* solve_ms_out) {
+Result<Json> Server::DoSolve(Call& call) {
+  obs::TraceSpan solve_span("serve.solve");
+  // Post-admission site: error(...) exercises the typed internal error
+  // path; delay_ms(n) pins a solve in flight (the SIGTERM-drain and
+  // mid-solve-deadline tests) without touching solver code.
+  const failpoint::Hit fp = UIC_FAILPOINT("serve.solve.admitted");
+  if (fp.action == failpoint::Action::kError) {
+    return Status::Internal("injected fault at serve.solve.admitted");
+  }
+  failpoint::SleepFor(fp);
+  Result<Json> result = SolveAdmitted(call);
+  solve_span.SetAttr("ok", result.ok() ? 1 : 0);
+  return result;
+}
+
+Result<Json> Server::SolveAdmitted(Call& call) {
+  const Json& body = call.request.body;
   const std::string graph_name = GetStringField(body, "graph");
   if (graph_name.empty()) {
     return Status::InvalidArgument("solve needs a 'graph' session name");
@@ -555,7 +534,7 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
     return solver.value()->Solve(problem);
   }();
   const double solve_ms = timer.ElapsedMillis();
-  *solve_ms_out = solve_ms;
+  call.solve_ms = solve_ms;
   const RrStreamCache::Stats after = cache->stats();
   // Hand the pool back before the (cache-independent) welfare evaluation
   // so a same-key request can start solving during our eval.
@@ -568,9 +547,11 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
   // The client gets progress stats, never a payload it could mistake for
   // the answer it stopped waiting for.
   const auto deadline_expired = [&]() {
-    return deadline_ms > 0.0 && request_timer.ElapsedMillis() > deadline_ms;
+    const double deadline_ms = call.request.deadline_ms;
+    return deadline_ms > 0.0 && call.timer.ElapsedMillis() > deadline_ms;
   };
   const auto deadline_status = [&]() -> Status {
+    Json* partial = &call.partial;
     *partial = Json::Object();
     partial->Set("num_rr_sets",
                  Json::Int(static_cast<long long>(
@@ -624,6 +605,7 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
     if (deadline_expired()) return deadline_status();
   }
 
+  Json* serve_info = &call.serve_info;
   *serve_info = Json::Object();
   serve_info->Set("warm", Json::Bool(warm));
   serve_info->Set("warm_hit", Json::Bool(warm_hit));
@@ -634,7 +616,7 @@ Result<Json> Server::DoSolve(const Json& body, double queued_ms,
                   Json::Int(static_cast<long long>(after.served_sets -
                                                    before.served_sets)));
   if (options_.include_timing) {
-    serve_info->Set("queued_ms", Json::Number(queued_ms));
+    serve_info->Set("queued_ms", Json::Number(call.queued_ms));
     serve_info->Set("solve_ms", Json::Number(solve_ms));
   }
   return result;

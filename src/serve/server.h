@@ -38,6 +38,7 @@
 #pragma once
 
 #include <atomic>
+#include <optional>
 #include <string>
 
 #include "common/timer.h"
@@ -105,18 +106,35 @@ class Server {
   [[nodiscard]] Status ServeMetricsHttp(TcpListener& listener);
 
  private:
+  /// One request in flight: what a verb handler reads beyond the body,
+  /// and the reply parts it may fill in besides its result.
+  struct Call {
+    explicit Call(const Request& r) : request(r) {}
+    const Request& request;
+    /// Started at arrival so deadline_ms bounds the whole request —
+    /// queueing AND solving — not just the wait for admission.
+    WallTimer timer;
+    double queued_ms = 0.0;  ///< admission wait (admitted verbs)
+    Json serve_info;         ///< the ok response's `serve` member
+    Json partial;            ///< the error response's progress stats
+    std::optional<double> solve_ms;  ///< set once a solver has run
+    bool shed = false;  ///< the error is a full registry: kOverloaded
+  };
+  /// One row of the verb table (server.cc).
+  struct Verb;
+  /// The row for `name`; unknown names get the closed roster's "other"
+  /// row, whose handler is null.
+  static const Verb& FindVerb(const std::string& name);
+
   std::string HandleRequest(const Request& request);
-  [[nodiscard]] Result<Json> DoLoadGraph(const Json& body);
-  [[nodiscard]] Result<Json> DoLoadParams(const Json& body);
-  /// `deadline_ms` is the request's end-to-end budget and `request_timer`
-  /// has been running since the request arrived; on a mid-solve deadline
-  /// miss the status is DeadlineExceeded and *partial holds progress
-  /// stats for the error payload.
-  [[nodiscard]] Result<Json> DoSolve(const Json& body, double queued_ms,
-                                     double deadline_ms,
-                                     const WallTimer& request_timer,
-                                     Json* serve_info, Json* partial,
-                                     double* solve_ms_out);
+  [[nodiscard]] Result<Json> DoLoadGraph(Call& call);
+  [[nodiscard]] Result<Json> DoLoadParams(Call& call);
+  /// The request's deadline_ms is its end-to-end budget, measured by
+  /// `call.timer`; on a mid-solve deadline miss the status is
+  /// DeadlineExceeded and `call.partial` holds progress stats for the
+  /// error payload.
+  [[nodiscard]] Result<Json> DoSolve(Call& call);
+  [[nodiscard]] Result<Json> SolveAdmitted(Call& call);
   [[nodiscard]] Result<Json> DoUnload(const Json& body);
   [[nodiscard]] Result<Json> DoSetFailpoints(const Json& body);
 

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <vector>
 
+#include "common/thread_pool.h"
 #include "diffusion/ic_model.h"
 #include "graph/generators.h"
 #include "rrset/imm.h"
@@ -41,6 +43,23 @@ TEST(Lambda, LogChooseIsSymmetricAndMonotoneToMiddle) {
   EXPECT_GT(LogChoose(10, 5), LogChoose(10, 2));
   EXPECT_DOUBLE_EQ(LogChoose(10, 0), 0.0);
   EXPECT_NEAR(LogChoose(5, 2), std::log(10.0), 1e-9);
+}
+
+TEST(Lambda, LogChooseIsSafeToCallConcurrently) {
+  // Concurrent solves each size their pools with LogChoose, so it must not
+  // write shared state (std::lgamma writes the global `signgam`; under
+  // ThreadSanitizer that write fails this test). Values stay exactly the
+  // lgamma ones.
+  const double n = 40000.0;
+  const double k = 25.0;
+  const double expected =
+      std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  ThreadPool pool(4);
+  std::vector<double> got(1024);
+  pool.ParallelFor(got.size(), 4, [&](unsigned, size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) got[i] = LogChoose(n, k);
+  });
+  for (double v : got) ASSERT_EQ(v, expected);
 }
 
 TEST(Lambda, BothLambdasIncreaseWithBudget) {

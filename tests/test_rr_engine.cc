@@ -11,12 +11,16 @@
 
 #include <algorithm>
 #include <cstring>
+#include <memory>
 #include <queue>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "graph/generators.h"
+#include "graph/sampling_plan.h"
+#include "obs/metrics.h"
 #include "rrset/node_selection.h"
 #include "rrset/prima.h"
 #include "rrset/rr_collection.h"
@@ -285,6 +289,116 @@ TEST(RrEngineGolden, PrimaSeedsMatchPinnedGoldenAtAnyWorkerCount) {
   EXPECT_EQ(r1.num_rr_sets, kGoldenPrimaRrSets);
 }
 
+// --- independent sampler reference -------------------------------------
+//
+// Warm and cold collections both draw through an RrStreamCache, so their
+// agreement alone cannot catch a drift of the shared path. These tests
+// rebuild a pool set by set with the bare sampler on the documented stream
+// grid: RR set g is the next draw of Rng::Split(seed, g % kRrStreams).
+
+void ExpectPoolMatchesBareSampler(const Graph& g, uint64_t seed,
+                                  const RrOptions& options, size_t count) {
+  RrCollection pool(g, seed, 4, options);
+  pool.GenerateUntil(count / 3);
+  pool.GenerateUntil(count);
+  ASSERT_EQ(pool.size(), count);
+  RrSampler sampler(g, options);
+  std::vector<Rng> streams;
+  for (unsigned s = 0; s < kRrStreams; ++s) {
+    streams.push_back(Rng::Split(seed, s));
+  }
+  std::vector<NodeId> set;
+  size_t edges = 0;
+  for (size_t r = 0; r < count; ++r) {
+    edges += sampler.SampleInto(streams[r % kRrStreams], &set);
+    const auto got = pool.Set(r);
+    ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()), set) << "set " << r;
+  }
+  EXPECT_EQ(pool.TotalEdgesExamined(), edges);
+}
+
+TEST(RrEngineReference, IcSkipPoolMatchesBareSampler) {
+  ExpectPoolMatchesBareSampler(GoldenGraph(), 42, {}, 2000);
+}
+
+TEST(RrEngineReference, IcScanPoolMatchesBareSampler) {
+  RrOptions scan;
+  scan.kernel = SamplingKernel::kScan;
+  ExpectPoolMatchesBareSampler(GoldenGraph(), 42, scan, 2000);
+}
+
+TEST(RrEngineReference, LtPoolMatchesBareSampler) {
+  RrOptions lt;
+  lt.linear_threshold = true;
+  ExpectPoolMatchesBareSampler(GoldenGraph(), 5, lt, 1500);
+}
+
+TEST(RrEngineReference, BorrowedSamplingPlanDrawsTheSamePool) {
+  Graph g = GoldenGraph();
+  const std::shared_ptr<const SamplingPlan> plan = SamplingPlan::Build(
+      g, SamplingPlan::Direction::kReverse, SamplingPlan::kIcBuckets);
+  RrOptions borrowed;
+  borrowed.sampling_plan = plan.get();
+  RrCollection with_plan(g, 42, 4, borrowed);
+  with_plan.GenerateUntil(2000);
+  RrCollection without(g, 42, 4);
+  without.GenerateUntil(2000);
+  EXPECT_EQ(PoolHash(with_plan), PoolHash(without));
+  EXPECT_EQ(PoolHash(with_plan), kGoldenIcPoolHash);
+  EXPECT_EQ(with_plan.TotalEdgesExamined(), without.TotalEdgesExamined());
+}
+
+TEST(RrEngineReference, SharedCacheOutlivesABorrowedPlan) {
+  // A shared cache never keeps the caller's plan: it must go on extending
+  // its streams after the plan is gone (ASan flags a dangling plan).
+  Graph g = GoldenGraph();
+  RrStreamCache cache;
+  RrOptions warm;
+  warm.stream_cache = &cache;
+  {
+    const std::shared_ptr<const SamplingPlan> plan = SamplingPlan::Build(
+        g, SamplingPlan::Direction::kReverse, SamplingPlan::kIcBuckets);
+    RrOptions borrowed = warm;
+    borrowed.sampling_plan = plan.get();
+    RrCollection first(g, 42, 4, borrowed);
+    first.GenerateUntil(700);
+  }
+  RrCollection second(g, 42, 4, warm);
+  second.GenerateUntil(2000);
+  EXPECT_EQ(PoolHash(second), kGoldenIcPoolHash);
+}
+
+/// Current value of an unlabeled counter in the global exposition; 0 while
+/// the series is not registered yet.
+uint64_t CounterValue(const std::string& name) {
+  const std::string text =
+      obs::MetricsRegistry::Global().ExpositionText(false);
+  const std::string key = "\n" + name + " ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? 0
+                                 : std::stoull(text.substr(at + key.size()));
+}
+
+TEST(RrEngineReference, OnlyAnAttachedCacheCountsServedSets) {
+  // A cold collection's private cache draws every set it hands out: those
+  // count as sampled, never as served (replayed) ones.
+  Graph g = GoldenGraph();
+  const uint64_t served = CounterValue("uic_rr_cache_sets_served_total");
+  const uint64_t sampled = CounterValue("uic_rr_sets_sampled_total");
+  RrCollection cold(g, 42, 4);
+  cold.GenerateUntil(1000);
+  EXPECT_EQ(CounterValue("uic_rr_cache_sets_served_total"), served);
+  EXPECT_EQ(CounterValue("uic_rr_sets_sampled_total"), sampled + 1000);
+
+  RrStreamCache cache;
+  RrOptions warm;
+  warm.stream_cache = &cache;
+  RrCollection attached(g, 42, 4, warm);
+  attached.GenerateUntil(1000);
+  EXPECT_EQ(cache.stats().served_sets, 1000u);
+  EXPECT_EQ(CounterValue("uic_rr_cache_sets_served_total"), served + 1000);
+}
+
 // --- warm stream-cache equivalence ------------------------------------
 
 TEST(RrStreamCacheTest, WarmPoolIsBitIdenticalToCold) {
@@ -499,7 +613,7 @@ TEST(RrEngineIndex, IncrementalEqualsFreshlyBuiltAfterInterleavedGrowth) {
   pool.GenerateUntil(2005);
   EXPECT_EQ(pool.IndexDeltaCount(), 2u);
   ExpectIndexMatchesReference(pool);
-  pool.Clear();  // invalidated only by Clear()
+  pool.Reset(50);  // invalidated only by Reset()
   EXPECT_EQ(pool.IndexDeltaCount(), 0u);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     ASSERT_EQ(pool.IndexDegree(v), 0u);

@@ -109,7 +109,7 @@ TEST(RrCollection, ClearResetsPool) {
   Graph g = GenerateErdosRenyi(50, 200, 8);
   RrCollection pool(g, 1, 2);
   pool.GenerateUntil(100);
-  pool.Clear();
+  pool.Reset(1);
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.TotalNodes(), 0u);
   pool.GenerateUntil(10);

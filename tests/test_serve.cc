@@ -11,6 +11,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -450,6 +451,51 @@ TEST(ServeServer, MetricsVerbReturnsTheTimingGatedExposition) {
   Server timed(ServerOptions{});
   EXPECT_NE(timed.MetricsText().find("uic_serve_solve_latency_ms_bucket"),
             std::string::npos);
+}
+
+/// The value of one `uic_serve_verb_requests_total{verb=...}` series in an
+/// exposition; 0 while the series is not registered yet.
+long long VerbRequests(const std::string& text, const std::string& verb) {
+  const std::string key =
+      "uic_serve_verb_requests_total{verb=\"" + verb + "\"} ";
+  const size_t at = text.find(key);
+  return at == std::string::npos ? 0 : std::stoll(text.substr(at + key.size()));
+}
+
+TEST(ServeServer, EveryVerbCountsOnceUnderItsOwnLabel) {
+  ServerOptions options = GoldenOptions();
+  options.testing = true;  // set_failpoints answers ok
+  Server server(options);
+  // {label, request}: the whole roster once, plus one unknown verb.
+  const std::vector<std::pair<std::string, std::string>> requests = {
+      {"ping", "{\"id\":1,\"verb\":\"ping\"}"},
+      {"stats", "{\"id\":2,\"verb\":\"stats\"}"},
+      {"metrics", "{\"id\":3,\"verb\":\"metrics\"}"},
+      {"load_graph",
+       "{\"id\":4,\"verb\":\"load_graph\",\"name\":\"g\","
+       "\"network\":\"er\",\"nodes\":300,\"edges\":1500}"},
+      {"load_params",
+       "{\"id\":5,\"verb\":\"load_params\",\"name\":\"p\","
+       "\"config\":\"config12\"}"},
+      {"solve", kSolveWarm},
+      {"set_failpoints",
+       "{\"id\":7,\"verb\":\"set_failpoints\",\"failpoints\":{}}"},
+      {"unload", "{\"id\":8,\"verb\":\"unload\",\"params\":\"p\"}"},
+      {"other", "{\"id\":9,\"verb\":\"warp\"}"},
+      {"shutdown", "{\"id\":10,\"verb\":\"shutdown\"}"},
+  };
+  const std::string before = server.MetricsText();
+  for (const auto& [label, line] : requests) {
+    const std::string response = server.HandleLine(line);
+    EXPECT_NE(response.find(label == "other" ? "\"ok\":false" : "\"ok\":true"),
+              std::string::npos)
+        << response;
+  }
+  const std::string after = server.MetricsText();
+  for (const auto& [label, line] : requests) {
+    EXPECT_EQ(VerbRequests(after, label) - VerbRequests(before, label), 1)
+        << "verb=" << label;
+  }
 }
 
 TEST(ServeServer, ShutdownVerbDrainsAndPipeSessionEnds) {
