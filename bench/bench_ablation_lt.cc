@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "common/table.h"
-#include "diffusion/lt_model.h"
 #include "diffusion/uic_model.h"
 #include "exp/configs.h"
 #include "exp/flags.h"
@@ -46,14 +45,15 @@ int main(int argc, char** argv) {
     const AllocationResult ic_sel = MustSolve("bundle-grd", problem, options);
     problem.model = DiffusionModel::kLinearThreshold;
     const AllocationResult lt_sel = MustSolve("bundle-grd", problem, options);
-    const double ic_ic =
-        EstimateWelfare(graph, ic_sel.allocation, params, mc, 7).welfare;
-    const double lt_ic =
-        EstimateWelfare(graph, lt_sel.allocation, params, mc, 7).welfare;
-    const double lt_lt =
-        EstimateWelfareLt(graph, lt_sel.allocation, params, mc, 7).welfare;
-    const double ic_lt =
-        EstimateWelfareLt(graph, ic_sel.allocation, params, mc, 7).welfare;
+    const auto welfare = [&](const AllocationResult& sel,
+                             DiffusionModel eval) {
+      return EstimateWelfare(graph, sel.allocation, params, mc, 7, 0, eval)
+          .welfare;
+    };
+    const double ic_ic = welfare(ic_sel, DiffusionModel::kIndependentCascade);
+    const double lt_ic = welfare(lt_sel, DiffusionModel::kIndependentCascade);
+    const double lt_lt = welfare(lt_sel, DiffusionModel::kLinearThreshold);
+    const double ic_lt = welfare(ic_sel, DiffusionModel::kLinearThreshold);
     table.AddRow({"k=" + std::to_string(k), TablePrinter::Num(ic_ic, 1),
                   TablePrinter::Num(lt_ic, 1), TablePrinter::Num(lt_lt, 1),
                   TablePrinter::Num(ic_lt, 1),

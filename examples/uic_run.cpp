@@ -479,8 +479,8 @@ int Run(int argc, char** argv) {
     const uint64_t eval_seed =
         static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
     const SuiteRow row =
-        EvaluateRow(algorithm, setting, graph.value(), result,
-                    *problem.params, mc, eval_seed, options.workers);
+        EvaluateRow(algorithm, setting, problem, result, mc, eval_seed,
+                    options.workers);
     table.AddRow({row.algorithm, row.setting,
                   TablePrinter::Num(row.welfare, 2),
                   TablePrinter::Num(row.welfare_std_error, 2),

@@ -14,7 +14,7 @@ AllocationResult BundleGrd(const Graph& graph,
   AllocationResult result;
   if (budgets.empty()) return result;
 
-  rr_options.linear_threshold |= model == DiffusionModel::kLinearThreshold;
+  rr_options.linear_threshold = model == DiffusionModel::kLinearThreshold;
 
   // Line 2: one prefix-preserving ranking for the maximum budget.
   ImResult prima = Prima(graph, budgets, eps, ell, seed, workers, {},

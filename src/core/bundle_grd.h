@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "diffusion/allocation.h"
+#include "diffusion/uic_model.h"
 #include "graph/graph.h"
 #include "rrset/imm.h"
 
@@ -32,17 +33,12 @@ struct AllocationResult {
   double objective = 0.0;
 };
 
-/// Propagation model for seed selection (UIC results hold for any
-/// triggering model, §5; IC and LT are provided).
-enum class DiffusionModel { kIndependentCascade, kLinearThreshold };
-
 /// \brief bundleGRD (Algorithm 1).
 ///
 /// `budgets[i]` is item i's seed budget b_i. The allocation assigns item i
 /// to the top-b_i nodes of the PRIMA ranking. Utilities are *not* inputs.
-/// `rr_options` tunes the underlying RR sampling; selecting
-/// `DiffusionModel::kLinearThreshold` implies LT sampling regardless of
-/// `rr_options.linear_threshold`.
+/// `rr_options` tunes the underlying RR sampling; `model` alone decides IC
+/// vs LT sampling (`rr_options.linear_threshold` is overwritten).
 AllocationResult BundleGrd(const Graph& graph,
                            const std::vector<uint32_t>& budgets, double eps,
                            double ell, uint64_t seed, unsigned workers = 0,

@@ -1,43 +1,34 @@
 #include "diffusion/lt_model.h"
 
-#include <cmath>
-
-#include "common/check.h"
 #include "common/parallel.h"
 
 namespace uic {
 
-namespace {
-
-/// Sample one live in-neighbor of `v` (LT live-edge distribution): pick
-/// in-neighbor u with probability w(u,v), none with 1 − Σ w.
-NodeId SampleLiveSource(const Graph& graph, NodeId v, Rng& rng) {
+NodeId SampleLtLiveSource(const Graph& graph, NodeId v, Rng& rng) {
   auto srcs = graph.InNeighbors(v);
   auto probs = graph.InProbs(v);
-  if (srcs.empty()) return ~NodeId{0};
+  if (srcs.empty()) return kNoLiveSource;
   double r = rng.NextDouble();
   for (size_t k = 0; k < srcs.size(); ++k) {
     if (r < probs[k]) return srcs[k];
     r -= probs[k];
   }
-  return ~NodeId{0};
+  return kNoLiveSource;
 }
-
-}  // namespace
 
 LtSimulator::LtSimulator(const Graph& graph)
     : graph_(graph),
       visited_epoch_(graph.num_nodes(), 0),
       live_epoch_(graph.num_nodes(), 0),
-      live_src_(graph.num_nodes(), kNone) {}
+      live_src_(graph.num_nodes(), kNoLiveSource) {}
 
 bool LtSimulator::LiveInNeighbor(NodeId v, Rng& rng, NodeId* src) {
   if (live_epoch_[v] != epoch_) {
     live_epoch_[v] = epoch_;
-    live_src_[v] = SampleLiveSource(graph_, v, rng);
+    live_src_[v] = SampleLtLiveSource(graph_, v, rng);
   }
   *src = live_src_[v];
-  return live_src_[v] != kNone;
+  return live_src_[v] != kNoLiveSource;
 }
 
 size_t LtSimulator::RunOnce(const std::vector<NodeId>& seeds, Rng& rng) {
@@ -85,125 +76,6 @@ double EstimateSpreadLt(const Graph& graph, const std::vector<NodeId>& seeds,
   double total = 0.0;
   for (double t : totals) total += t;
   return total / static_cast<double>(num_simulations);
-}
-
-UicLtSimulator::UicLtSimulator(const Graph& graph)
-    : graph_(graph),
-      node_epoch_(graph.num_nodes(), 0),
-      desire_(graph.num_nodes(), 0),
-      adoption_(graph.num_nodes(), 0),
-      live_epoch_(graph.num_nodes(), 0),
-      live_src_(graph.num_nodes(), kNone) {}
-
-bool UicLtSimulator::LiveInNeighbor(NodeId v, Rng& rng, NodeId* src) {
-  if (live_epoch_[v] != epoch_) {
-    live_epoch_[v] = epoch_;
-    live_src_[v] = SampleLiveSource(graph_, v, rng);
-  }
-  *src = live_src_[v];
-  return live_src_[v] != kNone;
-}
-
-UicOutcome UicLtSimulator::Run(const Allocation& allocation,
-                               const UtilityTable& utilities, Rng& rng) {
-  ++epoch_;
-  frontier_.clear();
-  touched_.clear();
-  UicOutcome outcome;
-
-  for (const auto& [v, items] : allocation.entries()) {
-    Touch(v);
-    desire_[v] |= items;
-    touched_.push_back(v);
-  }
-  for (const auto& [v, items] : allocation.entries()) {
-    const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
-    if (best != adoption_[v]) {
-      adoption_[v] = best;
-      frontier_.push_back(v);
-    }
-  }
-
-  while (!frontier_.empty()) {
-    next_.clear();
-    for (NodeId u : frontier_) {
-      const ItemSet send = adoption_[u];
-      for (NodeId v : graph_.OutNeighbors(u)) {
-        NodeId src;
-        if (!LiveInNeighbor(v, rng, &src) || src != u) continue;
-        if (node_epoch_[v] != epoch_) {
-          Touch(v);
-          touched_.push_back(v);
-        }
-        if (IsSubset(send, desire_[v])) continue;
-        desire_[v] |= send;
-        const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
-        if (best != adoption_[v]) {
-          adoption_[v] = best;
-          next_.push_back(v);
-        }
-      }
-    }
-    frontier_.swap(next_);
-  }
-
-  for (NodeId v : touched_) {
-    const ItemSet a = adoption_[v];
-    if (a == kEmptyItemSet) continue;
-    outcome.welfare += utilities.Utility(a);
-    outcome.num_adopters += 1;
-    outcome.num_adoptions += Cardinality(a);
-  }
-  return outcome;
-}
-
-WelfareEstimate EstimateWelfareLt(const Graph& graph,
-                                  const Allocation& allocation,
-                                  const ItemParams& params,
-                                  size_t num_simulations, uint64_t seed,
-                                  unsigned workers) {
-  WelfareEstimate estimate;
-  if (num_simulations == 0) return estimate;
-  struct Accum {
-    double sum = 0.0, sum_sq = 0.0, adopters = 0.0, adoptions = 0.0;
-  };
-  std::vector<Accum> per_stream(kRngStreams);
-  ParallelForStreams(num_simulations, workers,
-                     [&](unsigned s, size_t begin, size_t end) {
-                       UicLtSimulator sim(graph);
-                       Rng rng = Rng::Split(seed, s);
-                       Accum acc;
-                       // Per-simulation noise buffer and table reused
-                       // (same RNG sequence and values as fresh builds).
-                       std::vector<double> noise;
-                       UtilityTable table(params);
-                       for (size_t i = begin; i < end; ++i) {
-                         params.noise().Sample(rng, &noise);
-                         table.Rebuild(params, noise);
-                         const UicOutcome out = sim.Run(allocation, table, rng);
-                         acc.sum += out.welfare;
-                         acc.sum_sq += out.welfare * out.welfare;
-                         acc.adopters += static_cast<double>(out.num_adopters);
-                         acc.adoptions +=
-                             static_cast<double>(out.num_adoptions);
-                       }
-                       per_stream[s] = acc;
-                     });
-  Accum total;
-  for (const Accum& a : per_stream) {
-    total.sum += a.sum;
-    total.sum_sq += a.sum_sq;
-    total.adopters += a.adopters;
-    total.adoptions += a.adoptions;
-  }
-  const double n = static_cast<double>(num_simulations);
-  estimate.welfare = total.sum / n;
-  const double var =
-      n > 1 ? (total.sum_sq - total.sum * total.sum / n) / (n - 1) : 0.0;
-  estimate.std_error = var > 0 ? std::sqrt(var / n) : 0.0;
-  estimate.avg_adopters = total.adopters / n;
-  estimate.avg_adoptions = total.adoptions / n;
-  return estimate;
 }
 
 }  // namespace uic

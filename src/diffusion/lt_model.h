@@ -1,4 +1,5 @@
-// Linear Threshold (LT) diffusion and the UIC-LT combination.
+// Linear Threshold (LT) diffusion: the live-edge rule and the single-item
+// spread simulator.
 //
 // The paper notes (§5) that all results carry over unchanged to any
 // *triggering model*; LT is the canonical second instance. In live-edge
@@ -10,18 +11,25 @@
 // satisfy Σ_u w(u,v) <= 1 per node (the weighted-cascade assignment
 // 1/din(v) satisfies this with equality). Live in-edges are sampled
 // lazily, one per touched node per diffusion, so a run costs
-// O(touched-state), mirroring the IC simulators.
+// O(touched-state), mirroring the IC simulators. UIC dynamics over LT are
+// `UicSimulator(graph, DiffusionModel::kLinearThreshold)` (uic_model.h),
+// which draws live in-neighbors with the same `SampleLtLiveSource`.
 #pragma once
 
 #include <vector>
 
 #include "common/random.h"
-#include "diffusion/allocation.h"
-#include "diffusion/uic_model.h"
 #include "graph/graph.h"
-#include "items/utility_table.h"
 
 namespace uic {
+
+/// Returned by `SampleLtLiveSource` when v selected no in-neighbor.
+inline constexpr NodeId kNoLiveSource = ~NodeId{0};
+
+/// Sample v's live in-neighbor from the LT live-edge distribution: pick
+/// in-neighbor u with probability w(u,v), none (`kNoLiveSource`) with
+/// probability 1 − Σ_u w(u,v).
+NodeId SampleLtLiveSource(const Graph& graph, NodeId v, Rng& rng);
 
 /// \brief Single-item LT spread simulator (live-edge formulation).
 class LtSimulator {
@@ -40,59 +48,14 @@ class LtSimulator {
   uint32_t epoch_ = 0;
   std::vector<uint32_t> visited_epoch_;
   std::vector<uint32_t> live_epoch_;
-  std::vector<NodeId> live_src_;     // sampled in-neighbor (or kNone)
+  std::vector<NodeId> live_src_;     // sampled in-neighbor (or kNoLiveSource)
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
-
-  static constexpr NodeId kNone = ~NodeId{0};
 };
 
 /// \brief Monte-Carlo LT spread estimate.
 double EstimateSpreadLt(const Graph& graph, const std::vector<NodeId>& seeds,
                         size_t num_simulations, uint64_t seed,
                         unsigned workers = 0);
-
-/// \brief UIC dynamics over LT (triggering) propagation.
-///
-/// Identical adoption semantics to `UicSimulator` (desire sets, local-
-/// maximum adoption, progressive growth); only the edge mechanism changes:
-/// u's adoption reaches v iff v's (lazily sampled) live in-neighbor is u.
-class UicLtSimulator {
- public:
-  explicit UicLtSimulator(const Graph& graph);
-
-  UicOutcome Run(const Allocation& allocation, const UtilityTable& utilities,
-                 Rng& rng);
-
- private:
-  bool LiveInNeighbor(NodeId v, Rng& rng, NodeId* src);
-  void Touch(NodeId v) {
-    if (node_epoch_[v] != epoch_) {
-      node_epoch_[v] = epoch_;
-      desire_[v] = kEmptyItemSet;
-      adoption_[v] = kEmptyItemSet;
-    }
-  }
-
-  const Graph& graph_;
-  uint32_t epoch_ = 0;
-  std::vector<uint32_t> node_epoch_;
-  std::vector<ItemSet> desire_;
-  std::vector<ItemSet> adoption_;
-  std::vector<uint32_t> live_epoch_;
-  std::vector<NodeId> live_src_;
-  std::vector<NodeId> frontier_;
-  std::vector<NodeId> next_;
-  std::vector<NodeId> touched_;
-
-  static constexpr NodeId kNone = ~NodeId{0};
-};
-
-/// \brief Monte-Carlo expected social welfare under UIC-LT.
-WelfareEstimate EstimateWelfareLt(const Graph& graph,
-                                  const Allocation& allocation,
-                                  const ItemParams& params,
-                                  size_t num_simulations, uint64_t seed,
-                                  unsigned workers = 0);
 
 }  // namespace uic

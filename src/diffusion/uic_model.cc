@@ -1,20 +1,27 @@
 #include "diffusion/uic_model.h"
 
-#include <atomic>
-#include <mutex>
+#include <cmath>
 
 #include "common/check.h"
 #include "common/parallel.h"
+#include "diffusion/lt_model.h"
 
 namespace uic {
 
-UicSimulator::UicSimulator(const Graph& graph)
+UicSimulator::UicSimulator(const Graph& graph, DiffusionModel model)
     : graph_(graph),
+      model_(model),
       node_epoch_(graph.num_nodes(), 0),
       desire_(graph.num_nodes(), 0),
-      adoption_(graph.num_nodes(), 0),
-      edge_epoch_(graph.num_edges(), 0),
-      edge_live_(graph.num_edges(), 0) {}
+      adoption_(graph.num_nodes(), 0) {
+  if (model_ == DiffusionModel::kIndependentCascade) {
+    edge_epoch_.assign(graph.num_edges(), 0);
+    edge_live_.assign(graph.num_edges(), 0);
+  } else {
+    source_epoch_.assign(graph.num_nodes(), 0);
+    live_source_.assign(graph.num_nodes(), kNoLiveSource);
+  }
+}
 
 UicOutcome UicSimulator::Run(const Allocation& allocation,
                              const UtilityTable& utilities, Rng& rng) {
@@ -22,6 +29,42 @@ UicOutcome UicSimulator::Run(const Allocation& allocation,
 }
 
 UicOutcome UicSimulator::RunDetailed(
+    const Allocation& allocation, const UtilityTable& utilities, Rng& rng,
+    std::vector<std::pair<NodeId, ItemSet>>* adoptions) {
+  // One dispatch per run; the edge rule is a compile-time branch below.
+  return model_ == DiffusionModel::kLinearThreshold
+             ? RunModel<DiffusionModel::kLinearThreshold>(allocation,
+                                                          utilities, rng,
+                                                          adoptions)
+             : RunModel<DiffusionModel::kIndependentCascade>(
+                   allocation, utilities, rng, adoptions);
+}
+
+template <DiffusionModel kModel>
+bool UicSimulator::Live(NodeId u, size_t k, NodeId v, Rng& rng) {
+  if constexpr (kModel == DiffusionModel::kIndependentCascade) {
+    // Each edge is tested at most once per diffusion; its live/blocked
+    // status is remembered (Fig. 1 step 1).
+    const size_t e = graph_.OutEdgeIndex(u, static_cast<uint32_t>(k));
+    if (edge_epoch_[e] != epoch_) {
+      edge_epoch_[e] = epoch_;
+      const auto probs = graph_.OutProbs(u);
+      edge_live_[e] = rng.NextBernoulli(probs[k]) ? 1 : 0;
+    }
+    return edge_live_[e] != 0;
+  } else {
+    // v draws its single live in-neighbor once per diffusion, on first
+    // contact; u reaches v iff it is that in-neighbor.
+    if (source_epoch_[v] != epoch_) {
+      source_epoch_[v] = epoch_;
+      live_source_[v] = SampleLtLiveSource(graph_, v, rng);
+    }
+    return live_source_[v] == u;
+  }
+}
+
+template <DiffusionModel kModel>
+UicOutcome UicSimulator::RunModel(
     const Allocation& allocation, const UtilityTable& utilities, Rng& rng,
     std::vector<std::pair<NodeId, ItemSet>>* adoptions) {
   ++epoch_;
@@ -50,17 +93,9 @@ UicOutcome UicSimulator::RunDetailed(
     for (NodeId u : frontier_) {
       const ItemSet send = adoption_[u];
       auto nbrs = graph_.OutNeighbors(u);
-      auto probs = graph_.OutProbs(u);
       for (size_t k = 0; k < nbrs.size(); ++k) {
-        const size_t e = graph_.OutEdgeIndex(u, static_cast<uint32_t>(k));
-        // Each edge is tested at most once per diffusion; its live/blocked
-        // status is remembered (Fig. 1 step 1).
-        if (edge_epoch_[e] != epoch_) {
-          edge_epoch_[e] = epoch_;
-          edge_live_[e] = rng.NextBernoulli(probs[k]) ? 1 : 0;
-        }
-        if (!edge_live_[e]) continue;
         const NodeId v = nbrs[k];
+        if (!Live<kModel>(u, k, v, rng)) continue;
         if (node_epoch_[v] != epoch_) {
           Touch(v);
           touched_.push_back(v);
@@ -94,7 +129,7 @@ WelfareEstimate EstimateWelfare(const Graph& graph,
                                 const Allocation& allocation,
                                 const ItemParams& params,
                                 size_t num_simulations, uint64_t seed,
-                                unsigned workers) {
+                                unsigned workers, DiffusionModel model) {
   WelfareEstimate estimate;
   if (num_simulations == 0) return estimate;
 
@@ -110,7 +145,7 @@ WelfareEstimate EstimateWelfare(const Graph& graph,
 
   ParallelForStreams(num_simulations, workers,
                      [&](unsigned s, size_t begin, size_t end) {
-                       UicSimulator sim(graph);
+                       UicSimulator sim(graph, model);
                        Rng rng = Rng::Split(seed, s);
                        Accum acc;
                        // Noise buffer and table hoisted out of the loop:

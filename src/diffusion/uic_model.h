@@ -6,11 +6,15 @@
 //   * At t=1 each seed node desires its allocated items and adopts the
 //     utility-maximizing subset (ties → larger cardinality / union).
 //   * At t>1, every node that adopted new items at t−1 tests its untested
-//     out-edges (live w.p. p_uv, remembered for the whole diffusion); live
-//     edges add the sender's adopted items to the receiver's desire set,
-//     and the receiver adopts the utility-maximizing superset of its
-//     current adoption within its desire set.
+//     out-edges (liveness sampled once, remembered for the whole
+//     diffusion); live edges add the sender's adopted items to the
+//     receiver's desire set, and the receiver adopts the utility-maximizing
+//     superset of its current adoption within its desire set.
 //   * Both desire and adoption are progressive (never shrink).
+//
+// The adoption rules and guarantees hold for any triggering model (§5);
+// only the edge rule differs. Under IC edge (u,v) is live w.p. p_uv; under
+// LT v selects at most one live in-neighbor (see lt_model.h).
 #pragma once
 
 #include <vector>
@@ -32,13 +36,19 @@ struct UicOutcome {
   size_t num_adoptions = 0;
 };
 
-/// \brief Reusable UIC forward simulator.
+/// Propagation model (UIC results hold for any triggering model, §5; IC
+/// and LT are provided).
+enum class DiffusionModel { kIndependentCascade, kLinearThreshold };
+
+/// \brief Reusable UIC forward simulator under IC or LT propagation.
 ///
 /// Buffers (desire/adoption/edge status) are epoch-stamped so repeated runs
 /// on the same graph cost O(touched state), not O(n + m), per run.
 class UicSimulator {
  public:
-  explicit UicSimulator(const Graph& graph);
+  explicit UicSimulator(
+      const Graph& graph,
+      DiffusionModel model = DiffusionModel::kIndependentCascade);
 
   /// Run one diffusion under a fixed noise world (`utilities`) with fresh
   /// edge randomness from `rng`. Returns aggregate outcome.
@@ -52,12 +62,16 @@ class UicSimulator {
                          std::vector<std::pair<NodeId, ItemSet>>* adoptions);
 
  private:
-  ItemSet DesireOf(NodeId v) const {
-    return node_epoch_[v] == epoch_ ? desire_[v] : kEmptyItemSet;
-  }
-  ItemSet AdoptionOf(NodeId v) const {
-    return node_epoch_[v] == epoch_ ? adoption_[v] : kEmptyItemSet;
-  }
+  template <DiffusionModel kModel>
+  UicOutcome RunModel(const Allocation& allocation,
+                      const UtilityTable& utilities, Rng& rng,
+                      std::vector<std::pair<NodeId, ItemSet>>* adoptions);
+
+  /// Whether u's k-th out-edge (u → v) is live in the current diffusion;
+  /// sampled on first use and remembered for the rest of it.
+  template <DiffusionModel kModel>
+  bool Live(NodeId u, size_t k, NodeId v, Rng& rng);
+
   void Touch(NodeId v) {
     if (node_epoch_[v] != epoch_) {
       node_epoch_[v] = epoch_;
@@ -67,12 +81,17 @@ class UicSimulator {
   }
 
   const Graph& graph_;
+  const DiffusionModel model_;
   uint32_t epoch_ = 0;
   std::vector<uint32_t> node_epoch_;
   std::vector<ItemSet> desire_;
   std::vector<ItemSet> adoption_;
+  // IC: per-edge live/blocked memo, indexed by out-edge.
   std::vector<uint32_t> edge_epoch_;
   std::vector<uint8_t> edge_live_;
+  // LT: per-node memo of the one live in-neighbor, indexed by receiver.
+  std::vector<uint32_t> source_epoch_;
+  std::vector<NodeId> live_source_;
   std::vector<NodeId> frontier_;
   std::vector<NodeId> next_;
   std::vector<NodeId> touched_;
@@ -80,9 +99,10 @@ class UicSimulator {
 
 /// \brief Monte-Carlo estimate of expected social welfare ρ(𝒮) (§3.3).
 ///
-/// Each simulation samples a fresh noise world and fresh edge world.
-/// Deterministic in `seed` alone: simulations run on the fixed stream
-/// grid of `ParallelForStreams`, so `workers` only affects wall-clock.
+/// Each simulation samples a fresh noise world and a fresh edge world
+/// under `model`. Deterministic in `seed` alone: simulations run on the
+/// fixed stream grid of `ParallelForStreams`, so `workers` only affects
+/// wall-clock.
 struct WelfareEstimate {
   double welfare = 0.0;        ///< mean of ρ_W over sampled worlds
   double std_error = 0.0;        ///< standard error of the mean
@@ -94,6 +114,8 @@ WelfareEstimate EstimateWelfare(const Graph& graph,
                                 const Allocation& allocation,
                                 const ItemParams& params,
                                 size_t num_simulations, uint64_t seed,
-                                unsigned workers = 0);
+                                unsigned workers = 0,
+                                DiffusionModel model =
+                                    DiffusionModel::kIndependentCascade);
 
 }  // namespace uic

@@ -22,18 +22,21 @@ struct SuiteRow {
   size_t num_rr_sets = 0;
 };
 
-/// \brief Evaluate an allocation's expected welfare and fill a row.
+/// \brief Evaluate an allocation's expected welfare under the problem's
+/// diffusion model and fill a row. `problem.params` must be set.
 inline SuiteRow EvaluateRow(const std::string& algorithm,
-                            const std::string& setting, const Graph& graph,
-                            const AllocationResult& result,
-                            const ItemParams& params, size_t mc,
+                            const std::string& setting,
+                            const WelfareProblem& problem,
+                            const AllocationResult& result, size_t mc,
                             uint64_t eval_seed, unsigned workers = 0) {
+  UIC_CHECK_MSG(problem.params.has_value(),
+                "EvaluateRow needs a problem with params");
   SuiteRow row;
   row.algorithm = algorithm;
   row.setting = setting;
   const WelfareEstimate est =
-      EstimateWelfare(graph, result.allocation, params, mc, eval_seed,
-                      workers);
+      EstimateWelfare(*problem.graph, result.allocation, *problem.params, mc,
+                      eval_seed, workers, problem.model);
   row.welfare = est.welfare;
   row.welfare_std_error = est.std_error;
   row.seconds = result.seconds;

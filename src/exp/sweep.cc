@@ -215,7 +215,8 @@ Result<SweepReport> SweepRunner::Run() {
       if (spec_.params.has_value() && spec_.eval_simulations > 0) {
         const WelfareEstimate est = EstimateWelfare(
             *spec_.graph, row.result.allocation, *spec_.params,
-            spec_.eval_simulations, spec_.eval_seed, spec_.options.workers);
+            spec_.eval_simulations, spec_.eval_seed, spec_.options.workers,
+            spec_.model);
         row.welfare = est.welfare;
         row.welfare_std_error = est.std_error;
       }

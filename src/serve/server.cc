@@ -8,7 +8,6 @@
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
-#include "diffusion/lt_model.h"
 #include "diffusion/uic_model.h"
 #include "items/itemset.h"
 #include "obs/metrics.h"
@@ -487,7 +486,6 @@ Result<Json> Server::SolveAdmitted(Call& call) {
   Result<double> ell = GetNumberField(body, "ell", 1.0, 1e-6, 16.0);
   if (!ell.ok()) return ell.status();
   options.ell = ell.value();
-  options.rr_options.linear_threshold = lt;
 
   const std::string algorithm = GetStringField(body, "algorithm",
                                                "bundle-grd");
@@ -582,16 +580,11 @@ Result<Json> Server::SolveAdmitted(Call& call) {
         estimate_us, "uic_solver_phase_us_total", "phase=\"estimate\"",
         "Wall time per solve phase, microseconds.");
     WallTimer estimate_timer;
-    const WelfareEstimate estimate =
-        lt ? EstimateWelfareLt(*problem.graph,
-                               allocation_result.allocation,
-                               *problem.params,
-                               static_cast<size_t>(eval_sims.value()),
-                               static_cast<uint64_t>(eval_seed.value()))
-           : EstimateWelfare(*problem.graph, allocation_result.allocation,
-                             *problem.params,
-                             static_cast<size_t>(eval_sims.value()),
-                             static_cast<uint64_t>(eval_seed.value()));
+    const WelfareEstimate estimate = EstimateWelfare(
+        *problem.graph, allocation_result.allocation, *problem.params,
+        static_cast<size_t>(eval_sims.value()),
+        static_cast<uint64_t>(eval_seed.value()), /*workers=*/0,
+        problem.model);
     estimate_us.Add(
         static_cast<uint64_t>(estimate_timer.ElapsedMillis() * 1000.0));
     Json welfare = Json::Object();

@@ -58,11 +58,12 @@ void RegisterFunctionSolver(const std::string& name, Solver::Traits traits,
       });
 }
 
-/// RR options with the problem's diffusion model folded in (the model wins
-/// over a stale rr_options.linear_threshold).
+/// RR options with the sampling model taken from the problem: its
+/// DiffusionModel is the only model input (rr_options.linear_threshold is
+/// overwritten, never read).
 RrOptions EffectiveRrOptions(const WelfareProblem& p, const SolverOptions& o) {
   RrOptions rr = o.rr_options;
-  rr.linear_threshold |= p.model == DiffusionModel::kLinearThreshold;
+  rr.linear_threshold = p.model == DiffusionModel::kLinearThreshold;
   return rr;
 }
 

@@ -82,8 +82,9 @@ struct SolverOptions {
   uint64_t seed = 1;      ///< RNG seed; results are deterministic in it
   unsigned workers = 0;   ///< worker threads (0 = hardware concurrency)
 
-  /// RR sampling semantics for the IMM/PRIMA-based solvers. The problem's
-  /// DiffusionModel still wins: kLinearThreshold forces LT sampling.
+  /// RR sampling knobs for the IMM/PRIMA-based solvers. The problem's
+  /// DiffusionModel decides IC vs LT sampling: `linear_threshold` here is
+  /// ignored and overwritten from `WelfareProblem::model`.
   ///
   /// `rr_options.stream_cache` is the pool-reuse hook the sweep engine
   /// uses (exp/sweep.h): point it at an `RrStreamCache` and every RR pool

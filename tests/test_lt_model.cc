@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/bundle_grd.h"
+#include "diffusion/uic_model.h"
 #include "exp/configs.h"
 #include "graph/generators.h"
 #include "items/supermodular_generators.h"
@@ -55,11 +56,11 @@ TEST(LtSimulator, AtMostOneLiveInEdgePerNode) {
   EXPECT_NEAR(one, 1.5, 0.01);
 }
 
-TEST(UicLtSimulator, BundlePropagatesAlongLivePath) {
+TEST(UicSimulatorLt, BundlePropagatesAlongLivePath) {
   Graph g = Chain(4, 1.0);
   ItemParams params = MakeTwoItemConfig12();
   const UtilityTable table(params);  // zero noise: only the pair pays
-  UicLtSimulator sim(g);
+  UicSimulator sim(g, DiffusionModel::kLinearThreshold);
   Rng rng(6);
   Allocation alloc;
   alloc.Add(0, 0b11);
@@ -68,14 +69,14 @@ TEST(UicLtSimulator, BundlePropagatesAlongLivePath) {
   EXPECT_EQ(out.num_adopters, 4u);
 }
 
-TEST(UicLtSimulator, RationalAdoptionStillHolds) {
+TEST(UicSimulatorLt, RationalAdoptionStillHolds) {
   Graph g = Chain(3, 1.0);
   // Negative-alone items: seeding only one item yields nothing.
   const std::vector<double> prices = {1.0, 1.0};
   auto value = MakeValueFromUtilities(2, prices, {0.0, -0.5, -0.5, 1.0});
   ItemParams params(std::move(value), prices, NoiseModel::Zero(2));
   const UtilityTable table(params);
-  UicLtSimulator sim(g);
+  UicSimulator sim(g, DiffusionModel::kLinearThreshold);
   Rng rng(7);
   Allocation alloc;
   alloc.AddItem(0, 0);
@@ -85,16 +86,37 @@ TEST(UicLtSimulator, RationalAdoptionStillHolds) {
   EXPECT_DOUBLE_EQ(sim.Run(bundled, table, rng).welfare, 3.0);
 }
 
-TEST(EstimateWelfareLt, DeterministicAndPositiveUnderSynergy) {
+TEST(EstimateWelfareUnderLt, DeterministicAndPositiveUnderSynergy) {
   Graph g = GenerateErdosRenyi(300, 1800, 8);
   g.ApplyWeightedCascade();
   ItemParams params = MakeTwoItemConfig12();
   Allocation alloc;
   for (NodeId v = 0; v < 15; ++v) alloc.Add(v, 0b11);
-  const WelfareEstimate a = EstimateWelfareLt(g, alloc, params, 300, 9, 4);
-  const WelfareEstimate b = EstimateWelfareLt(g, alloc, params, 300, 9, 4);
+  const WelfareEstimate a = EstimateWelfare(g, alloc, params, 300, 9, 4,
+                                            DiffusionModel::kLinearThreshold);
+  const WelfareEstimate b = EstimateWelfare(g, alloc, params, 300, 9, 4,
+                                            DiffusionModel::kLinearThreshold);
   EXPECT_DOUBLE_EQ(a.welfare, b.welfare);
   EXPECT_GT(a.welfare, 0.0);
+}
+
+TEST(EstimateWelfareUnderLt, PinnedEstimateOnWeightedCascadeEr) {
+  // Bit-exact pin of the UIC-LT Monte-Carlo estimate (no golden transcript
+  // covers LT welfare): any change to the LT edge rule, its RNG draw order
+  // or the reduction shows up here.
+  Graph g = GenerateErdosRenyi(400, 2400, 21);
+  g.ApplyWeightedCascade();
+  ItemParams params = MakeTwoItemConfig12();
+  Allocation alloc;
+  for (NodeId v = 0; v < 20; ++v) alloc.Add(v, v % 3 == 0 ? 0b01 : 0b11);
+  for (unsigned workers : {1u, 4u}) {
+    const WelfareEstimate e = EstimateWelfare(
+        g, alloc, params, 500, 31, workers, DiffusionModel::kLinearThreshold);
+    EXPECT_EQ(e.welfare, 0x1.355e9cd1737bp+8);        // 309.3695803553519
+    EXPECT_EQ(e.std_error, 0x1.b4867de020364p+3);     // 13.641417443986661
+    EXPECT_EQ(e.avg_adopters, 0x1.ad6353f7ced91p+7);  // 214.694
+    EXPECT_EQ(e.avg_adoptions, 0x1.7024dd2f1a9fcp+8);  // 368.144
+  }
 }
 
 TEST(LtRrSampling, ReverseWalkOnChain) {
@@ -164,10 +186,12 @@ TEST(BundleGrdLt, SelectsSeedsUnderLinearThreshold) {
   ItemParams params = MakeTwoItemConfig12();
   Allocation arbitrary;
   for (NodeId v = 200; v < 210; ++v) arbitrary.Add(v, 0b11);
-  const double w_sel =
-      EstimateWelfareLt(g, r.allocation, params, 400, 17, 4).welfare;
-  const double w_arb =
-      EstimateWelfareLt(g, arbitrary, params, 400, 17, 4).welfare;
+  const double w_sel = EstimateWelfare(g, r.allocation, params, 400, 17, 4,
+                                       DiffusionModel::kLinearThreshold)
+                           .welfare;
+  const double w_arb = EstimateWelfare(g, arbitrary, params, 400, 17, 4,
+                                       DiffusionModel::kLinearThreshold)
+                           .welfare;
   EXPECT_GT(w_sel, w_arb);
 }
 

@@ -17,6 +17,7 @@
 #include "common/failpoint.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
+#include "diffusion/uic_model.h"
 #include "graph/graph.h"
 #include "serve/json.h"
 #include "serve/net.h"
@@ -390,6 +391,47 @@ TEST(ServeServer, ResultsAreIdenticalAcrossServerInstances) {
   LoadFixtures(server);
   EXPECT_EQ(Section(server.HandleLine(kSolveWarm), "result"), first);
   EXPECT_EQ(Section(server.HandleLine(kSolveCold), "result"), first);
+}
+
+TEST(ServeServer, LinearThresholdSolveIsScoredUnderLt) {
+  // A `model: lt` solve reports the UIC-LT welfare of its allocation:
+  // exactly what the shared estimator returns under kLinearThreshold.
+  Server server(GoldenOptions());
+  LoadFixtures(server);
+  const std::string reply = server.HandleLine(
+      "{\"id\":12,\"verb\":\"solve\",\"graph\":\"g\",\"params\":\"p\","
+      "\"model\":\"lt\",\"budgets\":[3,3],\"seed\":4,\"eval_sims\":100,"
+      "\"eval_seed\":5}");
+  Result<Json> parsed = Json::Parse(reply);
+  ASSERT_TRUE(parsed.ok()) << reply;
+  const Json* result = parsed.value().Find("result");
+  ASSERT_NE(result, nullptr) << reply;
+  Allocation allocation;
+  for (const Json& entry : result->Find("allocation")->items()) {
+    for (const Json& item : entry.Find("items")->items()) {
+      allocation.AddItem(static_cast<NodeId>(entry.Find("node")->AsInt()),
+                         static_cast<ItemId>(item.AsInt()));
+    }
+  }
+  ASSERT_FALSE(allocation.empty());
+
+  // Rebuild the fixtures exactly as LoadFixtures' requests describe them.
+  Result<Graph> graph = BuildGraphFromSpec(
+      Json::Parse("{\"network\":\"er\",\"nodes\":300,\"edges\":1500}")
+          .value());
+  ASSERT_TRUE(graph.ok());
+  Result<ItemParams> params =
+      BuildParamsFromSpec(Json::Parse("{\"config\":\"config12\"}").value());
+  ASSERT_TRUE(params.ok());
+  const WelfareEstimate want =
+      EstimateWelfare(graph.value(), allocation, params.value(), 100, 5, 0,
+                      DiffusionModel::kLinearThreshold);
+  const Json* welfare = result->Find("welfare");
+  ASSERT_NE(welfare, nullptr) << reply;
+  EXPECT_EQ(welfare->Find("welfare")->AsDouble(), want.welfare);
+  EXPECT_EQ(welfare->Find("std_error")->AsDouble(), want.std_error);
+  EXPECT_EQ(welfare->Find("avg_adopters")->AsDouble(), want.avg_adopters);
+  EXPECT_EQ(welfare->Find("avg_adoptions")->AsDouble(), want.avg_adoptions);
 }
 
 TEST(ServeServer, ReloadingAGraphInvalidatesItsWarmEntries) {

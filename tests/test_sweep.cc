@@ -213,6 +213,49 @@ TEST(SweepRunner, InvalidSpecsFailCleanly) {
   }
 }
 
+TEST(SweepRunner, LinearThresholdRowsAreScoredUnderLt) {
+  // Welfare is scored under the problem's model: an LT sweep row and an
+  // EvaluateRow call on an LT problem both equal the LT estimate bit for
+  // bit (and the IC estimate of the same allocation differs).
+  const Graph graph = SweepGraph();
+  SweepSpec spec = BaseSpec(graph);
+  spec.model = DiffusionModel::kLinearThreshold;
+  spec.algorithms = {"bundle-grd"};
+  spec.eval_simulations = 200;
+
+  SweepRunner runner(spec);
+  Result<SweepReport> report = runner.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().rows.size(), spec.budget_points.size());
+  for (const SweepRow& row : report.value().rows) {
+    const WelfareEstimate lt = EstimateWelfare(
+        graph, row.result.allocation, *spec.params, spec.eval_simulations,
+        spec.eval_seed, spec.options.workers,
+        DiffusionModel::kLinearThreshold);
+    EXPECT_EQ(row.welfare, lt.welfare) << row.setting;
+    EXPECT_EQ(row.welfare_std_error, lt.std_error) << row.setting;
+  }
+
+  WelfareProblem problem;
+  problem.graph = &graph;
+  problem.params = spec.params;
+  problem.budgets = {3, 3};
+  problem.model = DiffusionModel::kLinearThreshold;
+  const AllocationResult solved =
+      MustSolve("bundle-grd", problem, spec.options);
+  const SuiteRow suite_row =
+      EvaluateRow("bundle-grd", "b=3,3", problem, solved, 200, 5, 4);
+  const WelfareEstimate lt =
+      EstimateWelfare(graph, solved.allocation, *problem.params, 200, 5, 4,
+                      DiffusionModel::kLinearThreshold);
+  EXPECT_EQ(suite_row.welfare, lt.welfare);
+  EXPECT_EQ(suite_row.welfare_std_error, lt.std_error);
+  EXPECT_NE(lt.welfare,
+            EstimateWelfare(graph, solved.allocation, *problem.params, 200,
+                            5, 4)
+                .welfare);
+}
+
 TEST(ParseSweepPoints, AcceptsAllThreeGrammars) {
   auto uniform = ParseSweepPoints("10,30,50", 2);
   ASSERT_TRUE(uniform.ok());
