@@ -60,6 +60,28 @@ void BM_UicSimulation(benchmark::State& state) {
 }
 BENCHMARK(BM_UicSimulation)->Arg(10)->Arg(50)->Arg(200);
 
+// A whole 100-simulation welfare estimate on 4 workers, including the
+// per-stream simulator construction BM_UicSimulation amortizes away. The
+// graph has m = 50n, so any simulator state proportional to m would
+// dominate the estimate.
+void BM_EstimateWelfare(benchmark::State& state) {
+  static const Graph& g = []() -> const Graph& {
+    static Graph graph = GenerateErdosRenyi(10000, 500000, 41);
+    graph.ApplyWeightedCascade();
+    return graph;
+  }();
+  const ItemParams params = MakeTwoItemConfig12();
+  Allocation alloc;
+  for (NodeId v = 0; v < 50; ++v) alloc.Add(v, 0b11);
+  uint64_t seed = 0;
+  for (auto _ : state) {
+    const WelfareEstimate e = EstimateWelfare(g, alloc, params, 100, ++seed, 4);
+    benchmark::DoNotOptimize(e.welfare);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 100);
+}
+BENCHMARK(BM_EstimateWelfare)->Unit(benchmark::kMillisecond);
+
 void BM_UtilityTableBuild(benchmark::State& state) {
   const ItemId k = static_cast<ItemId>(state.range(0));
   const ItemParams params = MakeAdditiveConfig5(k);

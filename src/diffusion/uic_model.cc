@@ -15,8 +15,7 @@ UicSimulator::UicSimulator(const Graph& graph, DiffusionModel model)
       desire_(graph.num_nodes(), 0),
       adoption_(graph.num_nodes(), 0) {
   if (model_ == DiffusionModel::kIndependentCascade) {
-    edge_epoch_.assign(graph.num_edges(), 0);
-    edge_live_.assign(graph.num_edges(), 0);
+    live_out_.resize(graph.num_nodes());
   } else {
     source_epoch_.assign(graph.num_nodes(), 0);
     live_source_.assign(graph.num_nodes(), kNoLiveSource);
@@ -40,26 +39,41 @@ UicOutcome UicSimulator::RunDetailed(
                    allocation, utilities, rng, adoptions);
 }
 
-template <DiffusionModel kModel>
-bool UicSimulator::Live(NodeId u, size_t k, NodeId v, Rng& rng) {
-  if constexpr (kModel == DiffusionModel::kIndependentCascade) {
-    // Each edge is tested at most once per diffusion; its live/blocked
-    // status is remembered (Fig. 1 step 1).
-    const size_t e = graph_.OutEdgeIndex(u, static_cast<uint32_t>(k));
-    if (edge_epoch_[e] != epoch_) {
-      edge_epoch_[e] = epoch_;
-      const auto probs = graph_.OutProbs(u);
-      edge_live_[e] = rng.NextBernoulli(probs[k]) ? 1 : 0;
+std::span<const NodeId> UicSimulator::LiveOut(NodeId u, Rng& rng) {
+  LiveSlice& slice = live_out_[u];
+  if (slice.epoch != epoch_) {
+    // Each edge is tested at most once per diffusion (Fig. 1 step 1), all
+    // of u's at its first expansion; only the live targets are kept.
+    slice.epoch = epoch_;
+    slice.begin = live_.size();
+    const auto nbrs = graph_.OutNeighbors(u);
+    const auto probs = graph_.OutProbs(u);
+    for (size_t k = 0; k < nbrs.size(); ++k) {
+      if (rng.NextBernoulli(probs[k])) live_.push_back(nbrs[k]);
     }
-    return edge_live_[e] != 0;
-  } else {
-    // v draws its single live in-neighbor once per diffusion, on first
-    // contact; u reaches v iff it is that in-neighbor.
-    if (source_epoch_[v] != epoch_) {
-      source_epoch_[v] = epoch_;
-      live_source_[v] = SampleLtLiveSource(graph_, v, rng);
-    }
-    return live_source_[v] == u;
+    slice.size = static_cast<uint32_t>(live_.size() - slice.begin);
+  }
+  return {live_.data() + slice.begin, slice.size};
+}
+
+NodeId UicSimulator::LiveSource(NodeId v, Rng& rng) {
+  if (source_epoch_[v] != epoch_) {
+    source_epoch_[v] = epoch_;
+    live_source_[v] = SampleLtLiveSource(graph_, v, rng);
+  }
+  return live_source_[v];
+}
+
+void UicSimulator::Receive(NodeId v, ItemSet send,
+                           const UtilityTable& utilities) {
+  Touch(v);
+  if (IsSubset(send, desire_[v])) return;  // nothing new to desire
+  desire_[v] |= send;
+  const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
+  if (best != adoption_[v]) {
+    adoption_[v] = best;
+    // Re-activate v so it (re-)propagates its enlarged adoption set.
+    next_.push_back(v);
   }
 }
 
@@ -70,6 +84,7 @@ UicOutcome UicSimulator::RunModel(
   ++epoch_;
   frontier_.clear();
   touched_.clear();
+  live_.clear();
   UicOutcome outcome;
 
   // t = 1: seeds desire their allocated items and adopt the best subset.
@@ -77,7 +92,6 @@ UicOutcome UicSimulator::RunModel(
     UIC_DCHECK(v < graph_.num_nodes());
     Touch(v);
     desire_[v] |= items;
-    touched_.push_back(v);
   }
   for (const auto& [v, items] : allocation.entries()) {
     const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
@@ -92,21 +106,12 @@ UicOutcome UicSimulator::RunModel(
     next_.clear();
     for (NodeId u : frontier_) {
       const ItemSet send = adoption_[u];
-      auto nbrs = graph_.OutNeighbors(u);
-      for (size_t k = 0; k < nbrs.size(); ++k) {
-        const NodeId v = nbrs[k];
-        if (!Live<kModel>(u, k, v, rng)) continue;
-        if (node_epoch_[v] != epoch_) {
-          Touch(v);
-          touched_.push_back(v);
-        }
-        if (IsSubset(send, desire_[v])) continue;  // nothing new to desire
-        desire_[v] |= send;
-        const ItemSet best = utilities.BestAdoption(adoption_[v], desire_[v]);
-        if (best != adoption_[v]) {
-          adoption_[v] = best;
-          // Re-activate v so it (re-)propagates its enlarged adoption set.
-          next_.push_back(v);
+      if constexpr (kModel == DiffusionModel::kIndependentCascade) {
+        for (NodeId v : LiveOut(u, rng)) Receive(v, send, utilities);
+      } else {
+        // u reaches v iff it is v's one live in-neighbor.
+        for (NodeId v : graph_.OutNeighbors(u)) {
+          if (LiveSource(v, rng) == u) Receive(v, send, utilities);
         }
       }
     }

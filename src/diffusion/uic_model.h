@@ -17,6 +17,7 @@
 // LT v selects at most one live in-neighbor (see lt_model.h).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -42,8 +43,8 @@ enum class DiffusionModel { kIndependentCascade, kLinearThreshold };
 
 /// \brief Reusable UIC forward simulator under IC or LT propagation.
 ///
-/// Buffers (desire/adoption/edge status) are epoch-stamped so repeated runs
-/// on the same graph cost O(touched state), not O(n + m), per run.
+/// All state is per node and epoch-stamped: construction is O(n), and a
+/// run costs O(touched nodes + Σ out-degree of adopters).
 class UicSimulator {
  public:
   explicit UicSimulator(
@@ -67,18 +68,37 @@ class UicSimulator {
                       const UtilityTable& utilities, Rng& rng,
                       std::vector<std::pair<NodeId, ItemSet>>* adoptions);
 
-  /// Whether u's k-th out-edge (u → v) is live in the current diffusion;
-  /// sampled on first use and remembered for the rest of it.
-  template <DiffusionModel kModel>
-  bool Live(NodeId u, size_t k, NodeId v, Rng& rng);
+  /// IC: u's live out-neighbors in the current diffusion. The first call
+  /// per diffusion flips each out-edge's coin in CSR order and keeps the
+  /// live targets; later calls replay them without drawing. The span
+  /// points into `live_` and is valid until the next LiveOut call.
+  std::span<const NodeId> LiveOut(NodeId u, Rng& rng);
 
+  /// LT: v's one live in-neighbor (or kNoLiveSource) in the current
+  /// diffusion, drawn on first contact.
+  NodeId LiveSource(NodeId v, Rng& rng);
+
+  /// Deliver `send` along a live edge to v; v re-optimizes its adoption
+  /// and joins the next frontier if it grew.
+  void Receive(NodeId v, ItemSet send, const UtilityTable& utilities);
+
+  /// First contact with v in this diffusion: reset its state and record
+  /// it in `touched_`.
   void Touch(NodeId v) {
     if (node_epoch_[v] != epoch_) {
       node_epoch_[v] = epoch_;
       desire_[v] = kEmptyItemSet;
       adoption_[v] = kEmptyItemSet;
+      touched_.push_back(v);
     }
   }
+
+  /// Where u's live out-neighbors sit in `live_` (valid when epoch matches).
+  struct LiveSlice {
+    uint32_t epoch = 0;
+    uint32_t size = 0;
+    size_t begin = 0;
+  };
 
   const Graph& graph_;
   const DiffusionModel model_;
@@ -86,9 +106,9 @@ class UicSimulator {
   std::vector<uint32_t> node_epoch_;
   std::vector<ItemSet> desire_;
   std::vector<ItemSet> adoption_;
-  // IC: per-edge live/blocked memo, indexed by out-edge.
-  std::vector<uint32_t> edge_epoch_;
-  std::vector<uint8_t> edge_live_;
+  // IC: per-node slice into the run's arena of live out-neighbors.
+  std::vector<LiveSlice> live_out_;
+  std::vector<NodeId> live_;
   // LT: per-node memo of the one live in-neighbor, indexed by receiver.
   std::vector<uint32_t> source_epoch_;
   std::vector<NodeId> live_source_;

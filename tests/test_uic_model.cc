@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "exp/configs.h"
 #include "graph/generators.h"
 #include "items/supermodular_generators.h"
 
@@ -140,6 +143,71 @@ TEST(UicSimulator, StagedAdoptionRepropagatesThroughLiveEdges) {
   EXPECT_EQ(a1, 0b11u);  // upgraded via re-propagation
   EXPECT_EQ(a2, 0b10u);
   EXPECT_DOUBLE_EQ(out.welfare, 2.5 + 2.5 + 0.5);
+}
+
+/// Number of out-edge coins a diffusion draws under IC: one per out-edge of
+/// every node that ever entered the frontier, i.e. of every final adopter.
+size_t OutDegreeOfAdopters(const Graph& g,
+                           const std::vector<std::pair<NodeId, ItemSet>>& a) {
+  size_t coins = 0;
+  for (const auto& [v, items] : a) coins += g.OutDegree(v);
+  return coins;
+}
+
+TEST(UicSimulator, DrawsOneCoinPerOutEdgeOfEachAdopter) {
+  // Node 2 receives i0 from 0 and i1 from 1 in the same round, so it
+  // enters the next frontier twice; 5 reaches 6 both directly and, one
+  // round later, through 2, so 6 re-enters the frontier in a later round.
+  // Neither re-entry may draw again.
+  GraphBuilder builder(9);
+  builder.AddEdge(0, 2, 1.0);
+  builder.AddEdge(1, 2, 1.0);
+  builder.AddEdge(2, 3, 0.5);
+  builder.AddEdge(2, 4, 0.5);
+  builder.AddEdge(2, 6, 1.0);
+  builder.AddEdge(5, 6, 1.0);
+  builder.AddEdge(6, 7, 0.5);
+  builder.AddEdge(6, 8, 0.5);
+  builder.AddEdge(7, 2, 0.5);
+  Graph g = builder.Build().MoveValue();
+  ItemParams params = TwoItems(1.0, 1.0, 3.0);
+  const UtilityTable table(params);
+  Allocation alloc;
+  alloc.AddItem(0, 0);
+  alloc.AddItem(1, 1);
+  alloc.AddItem(5, 0);
+  UicSimulator sim(g);
+  std::vector<std::pair<NodeId, ItemSet>> adoptions;
+  for (uint64_t seed = 0; seed < 32; ++seed) {
+    Rng rng(seed);
+    Rng expected = rng;
+    sim.RunDetailed(alloc, table, rng, &adoptions);
+    for (NodeId v : {2, 6}) {
+      EXPECT_NE(std::find(adoptions.begin(), adoptions.end(),
+                          std::pair<NodeId, ItemSet>{v, 0b11}),
+                adoptions.end())
+          << "node " << v << " seed " << seed;
+    }
+    const size_t coins = OutDegreeOfAdopters(g, adoptions);
+    for (size_t i = 0; i < coins; ++i) expected.NextDouble();
+    EXPECT_EQ(rng.NextU64(), expected.NextU64()) << "seed " << seed;
+  }
+
+  // Random weighted-cascade worlds with staged, re-activating adoptions.
+  Graph er = GenerateErdosRenyi(200, 1200, 3);
+  er.ApplyWeightedCascade();
+  UicSimulator er_sim(er);
+  const UtilityTable er_table(MakeTwoItemConfig12(), {0.5, 0.5});
+  Allocation er_alloc;
+  for (NodeId v = 0; v < 30; ++v) er_alloc.AddItem(v, v % 2);
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    Rng rng(seed);
+    Rng expected = rng;
+    er_sim.RunDetailed(er_alloc, er_table, rng, &adoptions);
+    const size_t coins = OutDegreeOfAdopters(er, adoptions);
+    for (size_t i = 0; i < coins; ++i) expected.NextDouble();
+    EXPECT_EQ(rng.NextU64(), expected.NextU64()) << "seed " << seed;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -328,6 +396,29 @@ TEST(EstimateWelfare, DeterministicForFixedSeedAndWorkers) {
   const WelfareEstimate b = EstimateWelfare(g, alloc, params, 400, 5, 4);
   EXPECT_DOUBLE_EQ(a.welfare, b.welfare);
   EXPECT_DOUBLE_EQ(a.avg_adopters, b.avg_adopters);
+}
+
+TEST(EstimateWelfare, PinnedIcEstimateOnWeightedCascadeEr) {
+  // Bit-exact pin of the UIC-IC Monte-Carlo estimate (the golden
+  // transcripts print two decimals): any change to the IC edge rule, its
+  // RNG draw order or the reduction shows up here. Single-item seeds next
+  // to bundle seeds make receivers adopt in stages and re-enter the
+  // frontier.
+  Graph g = GenerateErdosRenyi(400, 2400, 23);
+  g.ApplyWeightedCascade();
+  ItemParams params = MakeTwoItemConfig12();
+  Allocation alloc;
+  for (NodeId v = 0; v < 30; ++v) {
+    alloc.Add(v, v % 5 == 0 ? 0b11 : ItemBit(static_cast<ItemId>(v % 2)));
+  }
+  for (unsigned workers : {1u, 4u}) {
+    const WelfareEstimate e =
+        EstimateWelfare(g, alloc, params, 500, 37, workers);
+    EXPECT_EQ(e.welfare, 0x1.e8360c67aa0c2p+6);       // 122.05278169608485
+    EXPECT_EQ(e.std_error, 0x1.6b93a0d633641p+2);     // 5.6808855144313961
+    EXPECT_EQ(e.avg_adopters, 0x1.7b083126e978dp+6);  // 94.758
+    EXPECT_EQ(e.avg_adoptions, 0x1.17e5604189375p+7);  // 139.948
+  }
 }
 
 TEST(EstimateWelfare, EmptyAllocationHasZeroWelfare) {
