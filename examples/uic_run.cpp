@@ -1,9 +1,9 @@
 // uic_run: the unified CLI driver over the solver registry.
 //
 // Loads or generates a network, builds a utility configuration, then runs
-// any registered allocation algorithm by name and prints a SuiteRow-style
-// report (welfare ± std error, wall-clock, RR sets). Every solver the
-// registry knows is reachable:
+// any registered allocation algorithm by name and prints a report
+// (welfare ± std error, wall-clock, RR sets). Every solver the registry
+// knows is reachable:
 //
 //   uic_run --list
 //   uic_run --algorithm bundle-grd --network douban-movie --budget 30
@@ -18,6 +18,16 @@
 //   uic_run --sweep "70,30;70,70;70,110" --algorithms bundle-grd
 //           --report-csv sweep.csv
 //
+// Spec mode (--spec) runs a sweep spec file: the paper's Figs. 4-8 live in
+// bench/specs/*.json (format in exp/spec_file.h):
+//
+//   uic_run --spec bench/specs/fig4.json --scale 0.05 --mc 20
+//
+// All three modes take one path: the flags (or the file) become sweep
+// groups, LoadSweepGroups builds their graphs, params and SweepSpecs, and
+// a SweepRunner solves and scores every cell; a single solve is a
+// one-cell sweep.
+//
 // Exit codes: 0 success, 1 solver/problem error (message on stderr),
 // 2 usage error.
 #include <atomic>
@@ -25,18 +35,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
-#include "exp/configs.h"
 #include "exp/flags.h"
-#include "exp/networks.h"
-#include "exp/suite.h"
-#include "exp/sweep.h"
-#include "graph/generators.h"
+#include "exp/spec_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "solver/registry.h"
@@ -44,10 +52,22 @@
 namespace uic {
 namespace {
 
+using serve::Json;
+using serve::JsonEscape;
+
 constexpr const char* kUsage =
     "usage: uic_run --algorithm NAME [options]\n"
     "       uic_run --sweep POINTS --algorithms A,B,.. [options]\n"
+    "       uic_run --spec FILE [--scale X] [--mc N] [--eps X] [options]\n"
     "       uic_run --list            (print registered solver names)\n"
+    "\n"
+    "spec (sweep spec files, e.g. bench/specs/fig4.json):\n"
+    "  --spec FILE        run every group of FILE (format: exp/spec_file.h);\n"
+    "                     only --scale, --mc, --eps (each overrides every\n"
+    "                     group), the report flags and the solver knobs\n"
+    "                     --workers, --sampling-kernel, --greedy-sims,\n"
+    "                     --cim-sims, --bdhs-* apply; report rows lead with\n"
+    "                     their group's title\n"
     "\n"
     "sweep (budget sweep with warm RR-pool reuse across points):\n"
     "  --sweep POINTS     \"10,30,50\" uniform | \"10:50:20\" range lo:hi:step |\n"
@@ -64,7 +84,7 @@ constexpr const char* kUsage =
     "  --graph PATH       load a graph saved with SaveGraph\n"
     "  --network NAME     er | pa | flixster | douban-book | douban-movie |\n"
     "                     twitter | orkut          (default douban-movie)\n"
-    "  --scale X          stand-in size multiplier  (default 0.3)\n"
+    "  --scale X          stand-in size multiplier in (0, 1000] (default 0.3)\n"
     "  --nodes N          er/pa node count          (default 2000)\n"
     "  --edges M          er edge count             (default 6*nodes)\n"
     "  --net-seed S       generator seed            (default 20190630)\n"
@@ -123,87 +143,10 @@ void InstallSweepSignalHandlers() {
   sigaction(SIGTERM, &action, nullptr);
 }
 
-Result<Graph> BuildNetwork(const Flags& flags) {
-  const double p = flags.GetDouble("p", 0.0);
-  const std::string path = flags.GetString("graph");
-  if (!path.empty()) {
-    Result<Graph> loaded = LoadGraph(path);
-    if (loaded.ok() && p > 0.0) loaded.value().ApplyConstantProbability(p);
-    return loaded;
-  }
-
-  const std::string name = flags.GetString("network", "douban-movie");
-  const double scale = flags.GetDouble("scale", 0.3);
-  const uint64_t seed = static_cast<uint64_t>(
-      flags.GetInt("net-seed", 20190630));
-  const long nodes_flag = flags.GetInt("nodes", 2000);
-  if (nodes_flag <= 0 || nodes_flag > UINT32_MAX) {
-    return Status::InvalidArgument("--nodes must be in [1, 2^32)");
-  }
-  const NodeId nodes = static_cast<NodeId>(nodes_flag);
-  const long edges_flag = flags.GetInt("edges", 6 * nodes_flag);
-  if (edges_flag < 0) {
-    return Status::InvalidArgument("--edges must be non-negative");
-  }
-  const size_t edges = static_cast<size_t>(edges_flag);
-
-  Graph graph;
-  if (name == "er") {
-    graph = GenerateErdosRenyi(nodes, edges, seed);
-    graph.ApplyWeightedCascade();
-  } else if (name == "pa") {
-    graph = GeneratePreferentialAttachment(nodes, /*out_per_node=*/5,
-                                           /*undirected=*/false, seed);
-    graph.ApplyWeightedCascade();
-  } else if (name == "flixster") {
-    graph = MakeFlixsterLike(seed, scale);
-  } else if (name == "douban-book") {
-    graph = MakeDoubanBookLike(seed, scale);
-  } else if (name == "douban-movie") {
-    graph = MakeDoubanMovieLike(seed, scale);
-  } else if (name == "twitter") {
-    graph = MakeTwitterLike(seed, scale);
-  } else if (name == "orkut") {
-    graph = MakeOrkutLike(seed, scale);
-  } else {
-    return Status::InvalidArgument("unknown --network '" + name + "'");
-  }
-  if (p > 0.0) graph.ApplyConstantProbability(p);
-  return graph;
-}
-
-Result<std::optional<ItemParams>> BuildParams(const Flags& flags,
-                                              ItemId items) {
-  const std::string path = flags.GetString("params");
-  if (!path.empty()) {
-    Result<ItemParams> loaded = LoadItemParams(path);
-    if (!loaded.ok()) return loaded.status();
-    return std::optional<ItemParams>(loaded.MoveValue());
-  }
-  const std::string config = flags.GetString("config", "config12");
-  // Deliberately NOT the solver --seed: sweeping solver seeds must not
-  // silently change the problem instance itself.
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("param-seed", 8));
-  if (config == "config12") return std::optional<ItemParams>(MakeTwoItemConfig12());
-  if (config == "config34") return std::optional<ItemParams>(MakeTwoItemConfig34());
-  if (config == "additive") {
-    return std::optional<ItemParams>(MakeAdditiveConfig5(items));
-  }
-  if (config == "cone-max") {
-    return std::optional<ItemParams>(MakeConeConfig67(items, 0));
-  }
-  if (config == "cone-min") {
-    return std::optional<ItemParams>(
-        MakeConeConfig67(items, static_cast<ItemId>(items - 1)));
-  }
-  if (config == "levelwise") {
-    return std::optional<ItemParams>(MakeLevelwiseConfig8(items, seed));
-  }
-  if (config == "real") {
-    return std::optional<ItemParams>(MakeRealPlaystationParams());
-  }
-  if (config == "none") return std::optional<ItemParams>();
-  return Status::InvalidArgument("unknown --config '" + config + "'");
+/// Report `status` on stderr and return the exit code `code`.
+int Fail(const Status& status, int code) {
+  std::fprintf(stderr, "uic_run: %s\n", status.ToString().c_str());
+  return code;
 }
 
 /// Comma-separated algorithm list for sweep mode; falls back to
@@ -224,93 +167,189 @@ std::vector<std::string> SweepAlgorithms(const Flags& flags) {
   return names;
 }
 
-int RunSweep(const Flags& flags, const WelfareProblem& problem,
-             const SolverOptions& options) {
-  const bool timing = !flags.GetBool("no-timing");
-
-  SweepSpec spec;
-  spec.graph = problem.graph;
-  spec.params = problem.params;
-  spec.model = problem.model;
-  spec.algorithms = SweepAlgorithms(flags);
-  spec.options = options;
-  spec.warm = !flags.GetBool("cold");
-  spec.eval_simulations = problem.params.has_value()
-                              ? static_cast<size_t>(flags.GetInt("mc", 400))
-                              : 0;
-  spec.eval_seed = static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
-  InstallSweepSignalHandlers();
-  spec.cancel = &g_interrupted;
-
-  const size_t num_items = problem.params.has_value()
-                               ? problem.params->num_items()
-                               : problem.budgets.size();
-  Result<std::vector<std::vector<uint32_t>>> points =
-      ParseSweepPoints(flags.GetString("sweep"), num_items);
-  if (!points.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", points.status().ToString().c_str());
-    return 2;
+/// The one group a flag-mode run describes, in spec-file form (see
+/// exp/spec_file.h). Flags left unset keep the builders' defaults, which
+/// are the ones the usage text lists. Single-solve mode is the one-cell
+/// sweep of --algorithm at --budget or --budgets.
+Result<Json> GroupFromFlags(const Flags& flags, bool sweep_mode) {
+  auto copy_int = [&](Json* body, const char* flag, const char* key) {
+    if (!flags.GetString(flag).empty()) {
+      body->Set(key, Json::Int(flags.GetInt(flag, 0)));
+    }
+  };
+  Json graph = Json::Object();
+  if (!flags.GetString("graph").empty()) {
+    graph.Set("path", Json::Str(flags.GetString("graph")));
+  } else {
+    graph.Set("network", Json::Str(flags.GetString("network", "douban-movie")));
+    copy_int(&graph, "nodes", "nodes");
+    copy_int(&graph, "edges", "edges");
+    copy_int(&graph, "net-seed", "net_seed");
   }
-  spec.budget_points = points.MoveValue();
+  graph.Set("p", Json::Number(flags.GetDouble("p", 0.0)));
 
-  SweepRunner runner(spec);
-  Result<SweepReport> report = runner.Run();
-  if (!report.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", report.status().ToString().c_str());
-    return 1;
-  }
-  const bool interrupted = report.value().interrupted;
-  if (interrupted) {
-    std::fprintf(stderr,
-                 "uic_run: sweep interrupted after %zu completed cell(s); "
-                 "flushing partial report\n",
-                 report.value().rows.size());
+  std::string sweep = flags.GetString("sweep");
+  size_t items = static_cast<size_t>(flags.GetInt("items", 2));
+  const std::string budget_list = flags.GetString("budgets");
+  if (!budget_list.empty()) {
+    Result<std::vector<uint32_t>> budgets = ParseBudgetList(budget_list);
+    if (!budgets.ok()) return budgets.status();
+    items = budgets.value().size();
+    if (!sweep_mode) sweep = budget_list + ";";
+  } else if (!sweep_mode) {
+    sweep = std::to_string(flags.GetInt("budget", 10));
   }
 
+  Json group = Json::Object();
+  group.Set("graph", std::move(graph));
+  const std::string config = flags.GetString("config", "config12");
+  if (!flags.GetString("params").empty()) {
+    Json params = Json::Object();
+    params.Set("path", Json::Str(flags.GetString("params")));
+    group.Set("params", std::move(params));
+  } else if (config != "none") {
+    Json params = Json::Object();
+    params.Set("config", Json::Str(config));
+    params.Set("items", Json::Int(static_cast<long long>(items)));
+    // Deliberately NOT the solver --seed: sweeping solver seeds must not
+    // silently change the problem instance itself.
+    copy_int(&params, "param-seed", "param_seed");
+    group.Set("params", std::move(params));
+  } else if (sweep.find(';') == std::string::npos) {
+    // Without params the loader cannot size uniform points: spell them
+    // out at --items (or the --budgets length).
+    Result<std::vector<std::vector<uint32_t>>> points =
+        ParseSweepPoints(sweep, items);
+    if (!points.ok()) return points.status();
+    sweep.clear();
+    for (const std::vector<uint32_t>& point : points.value()) {
+      for (size_t i = 0; i < point.size(); ++i) {
+        sweep += (i ? "," : "") + std::to_string(point[i]);
+      }
+      sweep += ';';
+    }
+  }
+
+  group.Set("model", Json::Str(flags.GetString("model", "ic")));
+  copy_int(&group, "seed", "seed");
+  group.Set("ell", Json::Number(flags.GetDouble("ell", 1.0)));
+  group.Set("eval_sims", Json::Int(flags.GetInt("mc", 400)));
+  group.Set("eval_seed", Json::Int(flags.GetInt("eval-seed", 999)));
+  Json algorithms = Json::Array();
+  for (const std::string& name :
+       sweep_mode ? SweepAlgorithms(flags)
+                  : std::vector<std::string>{flags.GetString("algorithm")}) {
+    algorithms.Append(Json::Str(name));
+  }
+  group.Set("algorithms", std::move(algorithms));
+  group.Set("sweep", Json::Str(sweep));
+  group.Set("warm", Json::Bool(!flags.GetBool("cold")));
+  return group;
+}
+
+/// An explicit --scale, --mc or --eps applies to every group, whichever
+/// way the group was built.
+void ApplyOverrides(const Flags& flags, Json* group) {
+  const Json* graph = group->Find("graph");
+  if (graph != nullptr && !flags.GetString("scale").empty()) {
+    Json scaled = *graph;
+    scaled.Set("scale", Json::Number(flags.GetDouble("scale", 0.0)));
+    group->Set("graph", std::move(scaled));
+  }
+  if (!flags.GetString("mc").empty()) {
+    group->Set("eval_sims", Json::Int(flags.GetInt("mc", 0)));
+  }
+  if (!flags.GetString("eps").empty()) {
+    group->Set("eps", Json::Number(flags.GetDouble("eps", 0.0)));
+  }
+}
+
+Result<std::vector<Json>> GroupsFromSpecFile(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Status::IOError("cannot read --spec " + path);
+  std::stringstream text;
+  text << in.rdbuf();
+  Result<Json> doc = Json::Parse(text.str());
+  if (!doc.ok()) {
+    return Status::InvalidArgument(path + ": " + doc.status().message());
+  }
+  return ExpandSpecGroups(doc.value());
+}
+
+/// One group's table. A single solve shows its seed-node count where a
+/// sweep shows the sets each cell sampled, plus the sweep's totals.
+void PrintTable(const SweepGroup& group, const SweepReport& report,
+                bool single, bool timing) {
+  const bool scored = group.spec.params.has_value() &&
+                      (single || group.spec.eval_simulations > 0);
   TablePrinter table({"algorithm", "setting", "welfare", "std error",
-                      "seconds", "rr sets", "rr sampled"});
-  for (const SweepRow& row : report.value().rows) {
-    table.AddRow({row.algorithm, row.setting,
-                  spec.eval_simulations > 0 ? TablePrinter::Num(row.welfare, 2)
-                                            : std::string("(no eval)"),
-                  spec.eval_simulations > 0
-                      ? TablePrinter::Num(row.welfare_std_error, 2)
-                      : std::string("-"),
-                  timing ? TablePrinter::Num(row.seconds(), 3)
-                         : std::string("-"),
-                  TablePrinter::Int(static_cast<long long>(row.num_rr_sets())),
-                  TablePrinter::Int(
-                      static_cast<long long>(row.rr_sets_sampled))});
+                      "seconds", "rr sets",
+                      single ? "seed nodes" : "rr sampled"});
+  for (const SweepRow& row : report.rows) {
+    table.AddRow(
+        {row.algorithm, row.setting,
+         scored ? TablePrinter::Num(row.welfare, 2)
+                : std::string(single ? "(no params)" : "(no eval)"),
+         scored ? TablePrinter::Num(row.welfare_std_error, 2)
+                : std::string("-"),
+         timing ? TablePrinter::Num(row.seconds(), 3) : std::string("-"),
+         TablePrinter::Int(static_cast<long long>(row.num_rr_sets())),
+         TablePrinter::Int(static_cast<long long>(
+             single ? row.result.allocation.num_seed_nodes()
+                    : row.rr_sets_sampled))});
   }
   table.Print();
-  std::printf("total rr sets consumed: %zu, sampled from scratch: %zu (%s)\n",
-              report.value().total_rr_sets, report.value().total_rr_sampled,
-              spec.warm ? "warm" : "cold");
+  if (single && report.rows.front().objective() != 0.0) {
+    std::printf("solver-reported objective: %.2f\n",
+                report.rows.front().objective());
+  } else if (!single) {
+    std::printf("total rr sets consumed: %zu, sampled from scratch: %zu (%s)\n",
+                report.total_rr_sets, report.total_rr_sampled,
+                report.warm ? "warm" : "cold");
+  }
+}
 
-  auto write_report = [](const std::string& path, const std::string& body) {
-    std::ofstream out(path);
-    out << body;
-    out.flush();  // surface late (buffered) write failures before checking
-    if (!out) {
-      std::fprintf(stderr, "uic_run: cannot write %s\n", path.c_str());
-      return false;
+bool WriteReport(const std::string& path, const std::string& body) {
+  std::ofstream out(path);
+  out << body;
+  out.flush();  // surface late (buffered) write failures before checking
+  if (!out) {
+    std::fprintf(stderr, "uic_run: cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("sweep report saved to %s\n", path.c_str());
+  return true;
+}
+
+/// --report-csv / --report-json. A flag-mode run writes its one report
+/// as is; a spec run leads each row with its group's title.
+bool WriteReports(const Flags& flags,
+                  const std::vector<std::pair<std::string, SweepReport>>&
+                      reports,
+                  bool spec_mode, bool timing) {
+  std::string csv = spec_mode ? "" : reports.front().second.ToCsv(timing);
+  std::string json =
+      spec_mode ? "{\"groups\": [" : reports.front().second.ToJson(timing);
+  for (size_t g = 0; spec_mode && g < reports.size(); ++g) {
+    const auto& [title, report] = reports[g];
+    const std::string body = report.ToCsv(timing);
+    const size_t header_end = body.find('\n') + 1;
+    if (g == 0) csv = "group," + body.substr(0, header_end);
+    std::string quoted = "\"";  // titles may hold commas and quotes
+    for (char c : title) quoted += c == '"' ? "\"\"" : std::string(1, c);
+    for (size_t pos = header_end; pos < body.size();) {
+      const size_t end = body.find('\n', pos) + 1;
+      csv += quoted + "\"," + body.substr(pos, end - pos);
+      pos = end;
     }
-    std::printf("sweep report saved to %s\n", path.c_str());
-    return true;
-  };
+    json += std::string(g ? "," : "") + "\n{\"title\": " +
+            JsonEscape(title) + ", \"report\": " + report.ToJson(timing) + "}";
+  }
+  if (spec_mode) json += "]}\n";
   const std::string csv_path = flags.GetString("report-csv");
-  if (!csv_path.empty() &&
-      !write_report(csv_path, report.value().ToCsv(timing))) {
-    return 1;
-  }
   const std::string json_path = flags.GetString("report-json");
-  if (!json_path.empty() &&
-      !write_report(json_path, report.value().ToJson(timing))) {
-    return 1;
-  }
-  // 128 + SIGINT: partial reports are on disk, but the sweep is incomplete
-  // and scripts must not mistake it for a full run.
-  return interrupted ? 130 : 0;
+  return (csv_path.empty() || WriteReport(csv_path, csv)) &&
+         (json_path.empty() || WriteReport(json_path, json));
 }
 
 /// Flushes --metrics-out / --trace-out on every exit path.
@@ -351,62 +390,22 @@ int Run(int argc, char** argv) {
     return 0;
   }
 
-  const std::string algorithm = flags.GetString("algorithm");
-  const bool sweep_mode = !flags.GetString("sweep").empty();
-  const bool has_algorithms =
-      !algorithm.empty() || (sweep_mode && !SweepAlgorithms(flags).empty());
-  if (!has_algorithms || flags.GetBool("help")) {
+  const bool spec_mode = !flags.GetString("spec").empty();
+  const bool sweep_mode = spec_mode || !flags.GetString("sweep").empty();
+  const bool has_work = spec_mode || !SweepAlgorithms(flags).empty();
+  if (!has_work || (!sweep_mode && flags.GetString("algorithm").empty()) ||
+      flags.GetBool("help")) {
     std::fputs(kUsage, stderr);
     std::fputs("\nregistered solvers:", stderr);
     for (const std::string& name : SolverRegistry::ListSolvers()) {
       std::fprintf(stderr, " %s", name.c_str());
     }
     std::fputs("\n", stderr);
-    return !has_algorithms && !flags.GetBool("help") ? 2 : 0;
+    return flags.GetBool("help") ? 0 : 2;
   }
 
-  // --- network ----------------------------------------------------------
-  Result<Graph> graph = BuildNetwork(flags);
-  if (!graph.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", graph.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("network: %s\n", graph.value().Summary().c_str());
-
-  // --- items and budgets ------------------------------------------------
-  const std::string budget_list = flags.GetString("budgets");
-  std::vector<uint32_t> budgets;
-  if (!budget_list.empty()) {
-    Result<std::vector<uint32_t>> parsed = ParseBudgetList(budget_list);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "uic_run: %s\n",
-                   parsed.status().ToString().c_str());
-      return 2;
-    }
-    budgets = parsed.MoveValue();
-  }
-
-  ItemId items = static_cast<ItemId>(flags.GetInt("items", 2));
-  if (!budgets.empty()) items = static_cast<ItemId>(budgets.size());
-
-  Result<std::optional<ItemParams>> params = BuildParams(flags, items);
-  if (!params.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", params.status().ToString().c_str());
-    return 1;
-  }
-  if (budgets.empty()) {
-    // Uniform budgets sized to the configuration (or --items for 'none').
-    const ItemId n = params.value().has_value()
-                         ? params.value()->num_items()
-                         : items;
-    budgets.assign(n, static_cast<uint32_t>(flags.GetInt("budget", 10)));
-  }
-
-  // --- solver options ---------------------------------------------------
+  // --- solver options shared by every group ------------------------------
   SolverOptions options;
-  options.eps = flags.GetDouble("eps", 0.5);
-  options.ell = flags.GetDouble("ell", 1.0);
-  options.seed = static_cast<uint64_t>(flags.GetInt("seed", 1));
   options.workers = static_cast<unsigned>(flags.GetInt("workers", 0));
   // Also size the process-wide shared pool (a no-op if something already
   // instantiated it): solvers route ParallelFor through ThreadPool::Shared,
@@ -433,85 +432,60 @@ int Run(int argc, char** argv) {
     return 1;
   }
 
-  WelfareProblem problem;
-  problem.graph = &graph.value();
-  problem.budgets = budgets;
-  problem.params = params.MoveValue();
-  const std::string model = flags.GetString("model", "ic");
-  if (model == "lt") {
-    problem.model = DiffusionModel::kLinearThreshold;
-  } else if (model != "ic") {
-    std::fprintf(stderr, "uic_run: unknown --model '%s'\n", model.c_str());
-    return 1;
-  }
-
-  // --- sweep mode ---------------------------------------------------------
-  if (sweep_mode) return RunSweep(flags, problem, options);
-
-  // --- solve ------------------------------------------------------------
-  Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::CreateOrError(algorithm, options);
-  if (!solver.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", solver.status().ToString().c_str());
-    return 1;
-  }
-  Result<AllocationResult> solved = solver.value()->Solve(problem);
-  if (!solved.ok()) {
-    std::fprintf(stderr, "uic_run: %s\n", solved.status().ToString().c_str());
-    return 1;
-  }
-  const AllocationResult& result = solved.value();
-
-  // --- report -----------------------------------------------------------
-  std::string setting = "b=";
-  for (size_t i = 0; i < budgets.size(); ++i) {
-    if (i) setting += ',';
-    setting += std::to_string(budgets[i]);
-  }
-
-  // --no-timing pins the report for golden end-to-end tests (wall-clock is
-  // the only nondeterministic column).
-  const bool timing = !flags.GetBool("no-timing");
-  TablePrinter table({"algorithm", "setting", "welfare", "std error",
-                      "seconds", "rr sets", "seed nodes"});
-  if (problem.params.has_value()) {
-    const size_t mc = static_cast<size_t>(flags.GetInt("mc", 400));
-    const uint64_t eval_seed =
-        static_cast<uint64_t>(flags.GetInt("eval-seed", 999));
-    const SuiteRow row =
-        EvaluateRow(algorithm, setting, problem, result, mc, eval_seed,
-                    options.workers);
-    table.AddRow({row.algorithm, row.setting,
-                  TablePrinter::Num(row.welfare, 2),
-                  TablePrinter::Num(row.welfare_std_error, 2),
-                  timing ? TablePrinter::Num(row.seconds, 3)
-                         : std::string("-"),
-                  TablePrinter::Int(static_cast<long long>(row.num_rr_sets)),
-                  TablePrinter::Int(static_cast<long long>(
-                      result.allocation.num_seed_nodes()))});
+  // --- groups: a spec file's, or the one the flags describe ---------------
+  std::vector<Json> specs;
+  if (spec_mode) {
+    Result<std::vector<Json>> read =
+        GroupsFromSpecFile(flags.GetString("spec"));
+    if (!read.ok()) return Fail(read.status(), 2);
+    specs = read.MoveValue();
   } else {
-    table.AddRow({algorithm, setting, "(no params)", "-",
-                  timing ? TablePrinter::Num(result.seconds, 3)
-                         : std::string("-"),
-                  TablePrinter::Int(static_cast<long long>(result.num_rr_sets)),
-                  TablePrinter::Int(static_cast<long long>(
-                      result.allocation.num_seed_nodes()))});
+    Result<Json> group = GroupFromFlags(flags, sweep_mode);
+    if (!group.ok()) return Fail(group.status(), 2);
+    specs.push_back(group.MoveValue());
   }
-  table.Print();
-  if (result.objective != 0.0) {
-    std::printf("solver-reported objective: %.2f\n", result.objective);
+  for (Json& group : specs) ApplyOverrides(flags, &group);
+  Result<std::vector<SweepGroup>> groups = LoadSweepGroups(specs, options);
+  if (!groups.ok()) return Fail(groups.status(), 1);
+
+  // --no-timing pins the reports for golden end-to-end tests (wall-clock
+  // is the only nondeterministic column).
+  const bool timing = !flags.GetBool("no-timing");
+  if (sweep_mode) InstallSweepSignalHandlers();
+  std::vector<std::pair<std::string, SweepReport>> reports;
+  bool interrupted = false;
+  for (SweepGroup& group : groups.value()) {
+    if (!group.title.empty()) std::printf("\n-- %s --\n", group.title.c_str());
+    std::printf("network: %s\n", group.graph->Summary().c_str());
+    if (sweep_mode) group.spec.cancel = &g_interrupted;
+    SweepRunner runner(group.spec);
+    Result<SweepReport> report = runner.Run();
+    if (!report.ok()) return Fail(report.status(), 1);
+    interrupted = report.value().interrupted;
+    if (interrupted) {
+      std::fprintf(stderr,
+                   "uic_run: sweep interrupted after %zu completed cell(s); "
+                   "flushing partial report\n",
+                   report.value().rows.size());
+    }
+    PrintTable(group, report.value(), !sweep_mode, timing);
+    reports.emplace_back(group.title, report.MoveValue());
+    if (interrupted) break;
   }
 
-  const std::string save_path = flags.GetString("save-allocation");
-  if (!save_path.empty()) {
-    const Status st = SaveAllocation(result.allocation, save_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "uic_run: %s\n", st.ToString().c_str());
-      return 1;
-    }
+  if (!sweep_mode) {
+    const std::string save_path = flags.GetString("save-allocation");
+    if (save_path.empty()) return 0;
+    const Status st = SaveAllocation(
+        reports.front().second.rows.front().result.allocation, save_path);
+    if (!st.ok()) return Fail(st, 1);
     std::printf("allocation saved to %s\n", save_path.c_str());
+    return 0;
   }
-  return 0;
+  if (!WriteReports(flags, reports, spec_mode, timing)) return 1;
+  // 128 + SIGINT: partial reports are on disk, but the sweep is incomplete
+  // and scripts must not mistake it for a full run.
+  return interrupted ? 130 : 0;
 }
 
 }  // namespace

@@ -1,48 +1,16 @@
-// Shared experiment-runner plumbing for the bench binaries: run a
-// registered solver on a WelfareProblem, evaluate its expected welfare
-// under UIC, and collect (welfare, time, RR sets) rows.
+// Solve-once helpers for the bench binaries that are not sweep-shaped
+// (tables, Fig. 9, ablations) and for the examples. Sweep-shaped figures
+// are spec files run by `uic_run --spec`, which scores every cell through
+// SweepRunner (exp/spec_file.h).
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "common/check.h"
-#include "diffusion/uic_model.h"
 #include "solver/registry.h"
 
 namespace uic {
-
-/// \brief One (algorithm, budget point) measurement.
-struct SuiteRow {
-  std::string algorithm;
-  std::string setting;     ///< e.g. "k=30" or "total=500"
-  double welfare = 0.0;
-  double welfare_std_error = 0.0;
-  double seconds = 0.0;
-  size_t num_rr_sets = 0;
-};
-
-/// \brief Evaluate an allocation's expected welfare under the problem's
-/// diffusion model and fill a row. `problem.params` must be set.
-inline SuiteRow EvaluateRow(const std::string& algorithm,
-                            const std::string& setting,
-                            const WelfareProblem& problem,
-                            const AllocationResult& result, size_t mc,
-                            uint64_t eval_seed, unsigned workers = 0) {
-  UIC_CHECK_MSG(problem.params.has_value(),
-                "EvaluateRow needs a problem with params");
-  SuiteRow row;
-  row.algorithm = algorithm;
-  row.setting = setting;
-  const WelfareEstimate est =
-      EstimateWelfare(*problem.graph, result.allocation, *problem.params, mc,
-                      eval_seed, workers, problem.model);
-  row.welfare = est.welfare;
-  row.welfare_std_error = est.std_error;
-  row.seconds = result.seconds;
-  row.num_rr_sets = result.num_rr_sets;
-  return row;
-}
 
 /// \brief Run the registered solver `algorithm` on `problem`.
 ///

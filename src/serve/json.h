@@ -123,5 +123,24 @@ std::string JsonEscape(const std::string& s);
 /// formats numbers into pre-escaped payloads).
 std::string JsonNumberToString(double v);
 
+// --- request-body field readers -------------------------------------------
+// Shared by the serve verbs, the session builders and the sweep spec
+// loader, so every body reports a bad field with the same wording.
+
+/// String member `key` of `body`; `def` when absent or not a string.
+std::string GetStringField(const Json& body, const char* key,
+                           const std::string& def = "");
+
+/// Integer member in [lo, hi]; `def` when absent, InvalidArgument naming
+/// `key` for a non-number, a fraction or an out-of-range value.
+[[nodiscard]] Result<long long> GetIntField(const Json& body, const char* key,
+                                            long long def, long long lo,
+                                            long long hi);
+
+/// Number member in [lo, hi]; `def` when absent, InvalidArgument naming
+/// `key` otherwise.
+[[nodiscard]] Result<double> GetNumberField(const Json& body, const char* key,
+                                            double def, double lo, double hi);
+
 }  // namespace serve
 }  // namespace uic

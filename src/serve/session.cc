@@ -140,35 +140,6 @@ Json SessionRegistry::Describe() const {
   return out;
 }
 
-namespace {
-
-/// Integer field with range validation; `def` when absent.
-Result<long long> GetIntField(const Json& body, const char* key,
-                              long long def, long long lo, long long hi) {
-  const Json* field = body.Find(key);
-  if (field == nullptr) return def;
-  if (!field->is_number()) {
-    return Status::InvalidArgument(std::string("'") + key +
-                                   "' must be a number");
-  }
-  const long long v = field->AsInt();
-  if (field->AsDouble() != static_cast<double>(v) || v < lo || v > hi) {
-    return Status::InvalidArgument(
-        std::string("'") + key + "' must be an integer in [" +
-        std::to_string(lo) + ", " + std::to_string(hi) + "]");
-  }
-  return v;
-}
-
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def = "") {
-  const Json* field = body.Find(key);
-  if (field == nullptr || !field->is_string()) return def;
-  return field->AsString();
-}
-
-}  // namespace
-
 Result<Graph> BuildGraphFromSpec(const Json& body) {
   const Json* p_field = body.Find("p");
   if (p_field != nullptr &&
@@ -199,12 +170,12 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
       GetIntField(body, "net_seed", 20190630, 0, INT64_MAX);
   if (!net_seed.ok()) return net_seed.status();
   const uint64_t seed = static_cast<uint64_t>(net_seed.value());
-  const Json* scale_field = body.Find("scale");
-  const double scale =
-      scale_field != nullptr && scale_field->is_number() &&
-              scale_field->AsDouble() > 0.0
-          ? scale_field->AsDouble()
-          : 0.3;
+  // (0, 1000]: at 1000 the stand-ins reach the paper's real sizes, and
+  // node counts stay far inside NodeId.
+  Result<double> scale = GetNumberField(body, "scale", 0.3, 0.0, 1000.0);
+  if (!scale.ok() || scale.value() <= 0.0) {
+    return Status::InvalidArgument("'scale' must be a number in (0, 1000]");
+  }
 
   Graph graph;
   if (network == "er") {
@@ -217,15 +188,15 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
         /*undirected=*/false, seed);
     graph.ApplyWeightedCascade();
   } else if (network == "flixster") {
-    graph = MakeFlixsterLike(seed, scale);
+    graph = MakeFlixsterLike(seed, scale.value());
   } else if (network == "douban-book") {
-    graph = MakeDoubanBookLike(seed, scale);
+    graph = MakeDoubanBookLike(seed, scale.value());
   } else if (network == "douban-movie") {
-    graph = MakeDoubanMovieLike(seed, scale);
+    graph = MakeDoubanMovieLike(seed, scale.value());
   } else if (network == "twitter") {
-    graph = MakeTwitterLike(seed, scale);
+    graph = MakeTwitterLike(seed, scale.value());
   } else if (network == "orkut") {
-    graph = MakeOrkutLike(seed, scale);
+    graph = MakeOrkutLike(seed, scale.value());
   } else {
     return Status::InvalidArgument("unknown network '" + network + "'");
   }

@@ -92,11 +92,11 @@ class SessionRegistry {
 
 /// \brief Build a graph from a `load_graph` request body.
 ///
-/// Either `"path"` (a SaveGraph file) or a generator spec mirroring the
-/// uic_run network flags: `"network"` (er | pa | flixster | douban-book |
-/// douban-movie | twitter | orkut), `"nodes"`, `"edges"`, `"net_seed"`,
-/// `"scale"`; optional `"p"` re-weights every edge to a constant
-/// probability.
+/// Either `"path"` (a SaveGraph file) or a generator spec: `"network"`
+/// (er | pa | flixster | douban-book | douban-movie | twitter | orkut),
+/// `"nodes"`, `"edges"`, `"net_seed"`, `"scale"` (in (0, 1000]); optional
+/// `"p"` re-weights every edge to a constant probability. The one map from
+/// network names to generators: uic_run and sweep spec files build here.
 [[nodiscard]] Result<Graph> BuildGraphFromSpec(const Json& body);
 
 /// \brief Build item params from a `load_params` request body: `"path"`

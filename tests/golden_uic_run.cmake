@@ -60,6 +60,13 @@ run_and_compare(bundle_grd_report_workers_8 uic_run_bundle_grd.txt
   --algorithm bundle-grd --network er --nodes 200 --edges 1200 --net-seed 5
   --budget 3 --mc 200 --eval-seed 9 --seed 4 --workers 8 --no-timing)
 
+# Linear threshold: the golden was recorded when single solves were scored
+# by a separate evaluation path; the one-cell sweep must score LT the same.
+run_and_compare(lt_report uic_run_lt.txt
+  --algorithm bundle-grd --model lt --network er --nodes 200 --edges 1200
+  --net-seed 5 --budget 3 --mc 200 --eval-seed 9 --seed 4 --workers 2
+  --no-timing)
+
 run_and_compare(bdhs_report uic_run_bdhs.txt
   --algorithm bdhs --network er --nodes 150 --edges 900 --net-seed 5
   --budget 2 --mc 100 --eval-seed 9 --seed 4 --workers 2 --no-timing)
@@ -97,3 +104,5 @@ expect_nonzero_exit(malformed_sweep_spec
   --sweep 10:5:2 --algorithms bundle-grd --network er --nodes 50 --edges 200)
 expect_nonzero_exit(missing_algorithm_flag
   --network er --nodes 50 --edges 200)
+expect_nonzero_exit(bad_scale
+  --algorithm bundle-grd --scale 0)

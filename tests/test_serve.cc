@@ -192,6 +192,17 @@ TEST(ServeSession, GraphSpecValidation) {
   EXPECT_FALSE(BuildGraphFromSpec(bad).ok());
   Json empty = Json::Object();
   EXPECT_FALSE(BuildGraphFromSpec(empty).ok());
+  // 'scale' must be a number in (0, 1000]: a huge one would overflow the
+  // stand-in generators' node counts.
+  for (const char* scale : {"-1", "0", "\"x\"", "1e6"}) {
+    Result<Json> body = Json::Parse(
+        std::string(R"({"network":"twitter","scale":)") + scale + "}");
+    ASSERT_TRUE(body.ok());
+    Result<Graph> g = BuildGraphFromSpec(body.value());
+    ASSERT_FALSE(g.ok()) << scale;
+    EXPECT_EQ(g.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(g.status().message().find("scale"), std::string::npos);
+  }
   Json params_bad = Json::Object();
   params_bad.Set("config", Json::Str("no-such-config"));
   EXPECT_FALSE(BuildParamsFromSpec(params_bad).ok());

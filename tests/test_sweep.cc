@@ -1,7 +1,8 @@
 // SweepRunner: warm-swept cells must be bit-identical to independent cold
 // solves (the sweep engine's hard contract), sample strictly fewer RR sets
 // than cold per-point runs, and be invariant to the worker count. Also
-// covers the CLI budget-point grammar and spec validation.
+// covers the CLI budget-point grammar, spec validation and the sweep spec
+// file loader.
 #include "exp/sweep.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "exp/configs.h"
+#include "exp/spec_file.h"
 #include "exp/suite.h"
 #include "graph/generators.h"
 
@@ -214,9 +216,9 @@ TEST(SweepRunner, InvalidSpecsFailCleanly) {
 }
 
 TEST(SweepRunner, LinearThresholdRowsAreScoredUnderLt) {
-  // Welfare is scored under the problem's model: an LT sweep row and an
-  // EvaluateRow call on an LT problem both equal the LT estimate bit for
-  // bit (and the IC estimate of the same allocation differs).
+  // Welfare is scored under the spec's model: every LT sweep row equals
+  // the LT estimate of its allocation bit for bit, and the IC estimate of
+  // the same allocation differs.
   const Graph graph = SweepGraph();
   SweepSpec spec = BaseSpec(graph);
   spec.model = DiffusionModel::kLinearThreshold;
@@ -235,25 +237,175 @@ TEST(SweepRunner, LinearThresholdRowsAreScoredUnderLt) {
     EXPECT_EQ(row.welfare, lt.welfare) << row.setting;
     EXPECT_EQ(row.welfare_std_error, lt.std_error) << row.setting;
   }
-
-  WelfareProblem problem;
-  problem.graph = &graph;
-  problem.params = spec.params;
-  problem.budgets = {3, 3};
-  problem.model = DiffusionModel::kLinearThreshold;
-  const AllocationResult solved =
-      MustSolve("bundle-grd", problem, spec.options);
-  const SuiteRow suite_row =
-      EvaluateRow("bundle-grd", "b=3,3", problem, solved, 200, 5, 4);
-  const WelfareEstimate lt =
-      EstimateWelfare(graph, solved.allocation, *problem.params, 200, 5, 4,
-                      DiffusionModel::kLinearThreshold);
-  EXPECT_EQ(suite_row.welfare, lt.welfare);
-  EXPECT_EQ(suite_row.welfare_std_error, lt.std_error);
-  EXPECT_NE(lt.welfare,
-            EstimateWelfare(graph, solved.allocation, *problem.params, 200,
-                            5, 4)
+  const SweepRow& last = report.value().rows.back();
+  EXPECT_NE(last.welfare,
+            EstimateWelfare(graph, last.result.allocation, *spec.params,
+                            spec.eval_simulations, spec.eval_seed,
+                            spec.options.workers)
                 .welfare);
+}
+
+// --- sweep spec files (exp/spec_file.h) ----------------------------------
+
+serve::Json ParseSpec(const std::string& text) {
+  Result<serve::Json> doc = serve::Json::Parse(text);
+  EXPECT_TRUE(doc.ok()) << doc.status().ToString();
+  return doc.ok() ? doc.MoveValue() : serve::Json::Object();
+}
+
+Result<std::vector<SweepGroup>> LoadSpec(const std::string& text,
+                                         const SolverOptions& base = {}) {
+  Result<std::vector<serve::Json>> groups =
+      ExpandSpecGroups(ParseSpec(text));
+  if (!groups.ok()) return groups.status();
+  return LoadSweepGroups(groups.value(), base);
+}
+
+constexpr const char* kTinyGraph =
+    R"({"network": "er", "nodes": 150, "edges": 900, "net_seed": 17})";
+
+TEST(SpecFile, GroupsInheritTopLevelKeysAndOverrideThem) {
+  SolverOptions base;
+  base.workers = 3;
+  base.comic.cim_forward_simulations = 30;
+  Result<std::vector<SweepGroup>> groups = LoadSpec(
+      std::string(R"({"graph": )") + kTinyGraph + R"(,
+        "params": {"config": "config12"},
+        "algorithms": ["bundle-grd", "item-disj"],
+        "seed": 7, "eps": 0.4, "eval_sims": 50, "eval_seed": 5,
+        "sweep": "2,4",
+        "groups": [
+          {"title": "inherits"},
+          {"title": "overrides", "seed": 9, "model": "lt", "warm": false,
+           "graph": {"network": "er", "nodes": 100},
+           "params": {"config": "additive", "items": 3},
+           "algorithms": ["bundle-grd"], "sweep": "1,2,3;4,5,6"}
+        ]})",
+      base);
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  ASSERT_EQ(groups.value().size(), 2u);
+
+  const SweepSpec& a = groups.value()[0].spec;
+  EXPECT_EQ(groups.value()[0].title, "inherits");
+  EXPECT_EQ(a.graph->num_nodes(), 150u);
+  EXPECT_EQ(a.params->num_items(), 2);
+  EXPECT_EQ(a.algorithms,
+            (std::vector<std::string>{"bundle-grd", "item-disj"}));
+  EXPECT_EQ(a.options.seed, 7u);
+  EXPECT_EQ(a.options.eps, 0.4);
+  EXPECT_EQ(a.options.workers, 3u);  // the base options reach every group
+  EXPECT_EQ(a.options.comic.cim_forward_simulations, 30u);
+  EXPECT_EQ(a.eval_simulations, 50u);
+  EXPECT_EQ(a.eval_seed, 5u);
+  EXPECT_EQ(a.model, DiffusionModel::kIndependentCascade);
+  EXPECT_TRUE(a.warm);
+  EXPECT_EQ(a.budget_points,
+            (std::vector<std::vector<uint32_t>>{{2, 2}, {4, 4}}));
+
+  const SweepSpec& b = groups.value()[1].spec;
+  EXPECT_EQ(groups.value()[1].title, "overrides");
+  // "graph" is replaced whole: edges fall back to 6 * nodes, not 900.
+  EXPECT_EQ(b.graph->num_nodes(), 100u);
+  EXPECT_EQ(b.graph->num_edges(), 600u);
+  EXPECT_EQ(b.params->num_items(), 3);
+  EXPECT_EQ(b.algorithms, (std::vector<std::string>{"bundle-grd"}));
+  EXPECT_EQ(b.options.seed, 9u);
+  EXPECT_EQ(b.options.eps, 0.4);
+  EXPECT_EQ(b.model, DiffusionModel::kLinearThreshold);
+  EXPECT_FALSE(b.warm);
+  EXPECT_EQ(b.budget_points,
+            (std::vector<std::vector<uint32_t>>{{1, 2, 3}, {4, 5, 6}}));
+}
+
+TEST(SpecFile, RejectsUnknownKeysWrongTypesAndBadSweeps) {
+  const std::string graph = std::string(R"("graph": )") + kTinyGraph;
+  struct Case {
+    std::string text;
+    std::string named;  // the message must name this key
+  };
+  const std::vector<Case> cases = {
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "budget": 3})", "budget"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "groups": [{"sweeps": "3"}]})", "sweeps"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "groups": [{"groups": []}]})", "groups"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": 2})",
+       "sweep"},
+      {"{" + graph + R"(, "algorithms": "bundle-grd", "sweep": "2"})",
+       "algorithms"},
+      {"{" + graph + R"(, "algorithms": [3], "sweep": "2"})", "algorithms"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "seed": "7"})", "seed"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "seed": -1})", "seed"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "eps": 3})", "eps"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "warm": 1})", "warm"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "model": "sir"})", "model"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2",
+         "groups": 1})", "groups"},
+      {"{" + graph + R"(, "params": {"config": "config12"},
+         "algorithms": ["bundle-grd"], "sweep": "10:5:2"})", "sweep"},
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"], "sweep": "2"})",
+       "params"},  // uniform points need params to size them
+      {"{" + graph + R"(, "algorithms": ["bundle-grd"]})", "sweep"},
+  };
+  for (const Case& c : cases) {
+    Result<std::vector<SweepGroup>> groups = LoadSpec(c.text);
+    ASSERT_FALSE(groups.ok()) << c.text;
+    EXPECT_EQ(groups.status().code(), Status::Code::kInvalidArgument)
+        << c.text;
+    EXPECT_NE(groups.status().message().find(c.named), std::string::npos)
+        << groups.status().message();
+  }
+  // A bad graph body fails through the load_graph builder.
+  EXPECT_FALSE(LoadSpec(R"({"graph": {"network": "mars"},
+                            "algorithms": ["bundle-grd"], "sweep": "2;"})")
+                   .ok());
+}
+
+TEST(SpecFile, IdenticalGraphBodiesBuildOneGraph) {
+  Result<std::vector<SweepGroup>> groups = LoadSpec(
+      std::string(R"({"graph": )") + kTinyGraph + R"(,
+        "params": {"config": "config12"},
+        "algorithms": ["bundle-grd"], "sweep": "2",
+        "groups": [
+          {"title": "a"},
+          {"title": "b", "params": {"config": "config34"}},
+          {"title": "c", "graph": )" + kTinyGraph + R"(},
+          {"title": "d", "graph": {"network": "er", "nodes": 150,
+                                   "edges": 900, "net_seed": 18}}
+        ]})");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  const std::vector<SweepGroup>& g = groups.value();
+  ASSERT_EQ(g.size(), 4u);
+  EXPECT_EQ(g[0].graph.get(), g[1].graph.get());
+  EXPECT_EQ(g[0].graph.get(), g[2].graph.get());  // spelled again, same body
+  EXPECT_NE(g[0].graph.get(), g[3].graph.get());
+  for (const SweepGroup& group : g) {
+    EXPECT_EQ(group.spec.graph, group.graph.get());
+  }
+}
+
+TEST(SpecFile, GroupsWithoutParamsSkipEvaluation) {
+  Result<std::vector<SweepGroup>> groups = LoadSpec(
+      std::string(R"({"graph": )") + kTinyGraph + R"(,
+        "algorithms": ["bundle-grd"], "sweep": "2,2;4,4",
+        "eval_sims": 100, "seed": 7})");
+  ASSERT_TRUE(groups.ok()) << groups.status().ToString();
+  const SweepSpec& spec = groups.value()[0].spec;
+  EXPECT_FALSE(spec.params.has_value());
+  Result<SweepReport> report = SweepRunner(spec).Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report.value().rows.size(), 2u);
+  for (const SweepRow& row : report.value().rows) {
+    EXPECT_GT(row.result.allocation.num_seed_nodes(), 0u);
+    EXPECT_EQ(row.welfare, 0.0);
+    EXPECT_EQ(row.welfare_std_error, 0.0);
+  }
 }
 
 TEST(ParseSweepPoints, AcceptsAllThreeGrammars) {
