@@ -175,15 +175,17 @@ BENCHMARK(BM_GenerateAndSelect)
     ->ArgsProduct({{1, 4, 8}, {10000, 100000}})
     ->Unit(benchmark::kMillisecond);
 
-// --- sampling kernels: scan vs skip (ISSUE 8) --------------------------
-// Args: (scheme, kernel). Pool generation (workers 4) under the legacy
-// per-edge scan kernel vs the geometric skip kernel, across the repo's
-// probability regimes and degree skews: weighted cascade on a heavy-tailed
-// PA graph (the acceptance pair — compare against BM_GenerateUntil/4/
-// 100000, which runs kernel auto = skip), sparse/dense constant
-// probabilities on ER, and trivalency on PA. The skip kernel's win grows
-// as per-edge probabilities shrink (fewer successes per examined edge).
-void BM_SampleKernel(benchmark::State& state) {
+// --- RR pool sampling across probability regimes ------------------------
+// Arg: scheme. Cold pool generation (workers 4, plan built inside the
+// timed loop) across the repo's probability regimes and degree skews:
+// weighted cascade on a heavy-tailed PA graph, sparse/dense constant
+// probabilities on ER, and trivalency on PA. The sampling plan sends each
+// node down the per-edge scan or the geometric skip, whichever its cost
+// rule expects to be cheaper (graph/sampling_plan.h), so every regime
+// mixes the two paths differently. Each iteration samples under its own
+// stream seed: near-critical pools (const_hi_er) vary widely in size from
+// draw sequence to draw sequence, and one fixed seed would time one draw.
+void BM_SamplePool(benchmark::State& state) {
   static const Graph* schemes[] = {nullptr, nullptr, nullptr, nullptr};
   static const char* names[] = {"wc_pa", "const_lo_er", "const_hi_er",
                                 "trivalency_pa"};
@@ -210,25 +212,24 @@ void BM_SampleKernel(benchmark::State& state) {
     schemes[scheme] = g;
   }
   const Graph& g = *schemes[scheme];
-  RrOptions opt;
-  opt.kernel =
-      state.range(1) == 0 ? SamplingKernel::kScan : SamplingKernel::kSkip;
-  // Each iteration builds its plan from scratch (an O(V+E) one-time cost
-  // real runs amortize over the whole pool); the targets are big enough
-  // that per-set sampling dominates it.
   const size_t target = scheme == 3 ? 30000 : 100000;
+  uint64_t seed = 0;
+  size_t total_nodes = 0;
   for (auto _ : state) {
-    RrCollection pool(g, 7, 4, opt);
+    RrCollection pool(g, ++seed, 4);
     pool.GenerateUntil(target);
     benchmark::DoNotOptimize(pool.TotalNodes());
+    total_nodes += pool.TotalNodes();
   }
-  state.SetLabel(std::string(names[scheme]) + "/" +
-                 SamplingKernelName(opt.kernel));
+  state.SetLabel(names[scheme]);
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(target));
+  state.counters["avg_rr_size"] =
+      static_cast<double>(total_nodes) /
+      static_cast<double>(state.iterations() * target);
 }
-BENCHMARK(BM_SampleKernel)
-    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}})
+BENCHMARK(BM_SamplePool)
+    ->DenseRange(0, 3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_GraphGeneration(benchmark::State& state) {

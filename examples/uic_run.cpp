@@ -65,9 +65,8 @@ constexpr const char* kUsage =
     "  --spec FILE        run every group of FILE (format: exp/spec_file.h);\n"
     "                     only --scale, --mc, --eps (each overrides every\n"
     "                     group), the report flags and the solver knobs\n"
-    "                     --workers, --sampling-kernel, --greedy-sims,\n"
-    "                     --cim-sims, --bdhs-* apply; report rows lead with\n"
-    "                     their group's title\n"
+    "                     --workers, --greedy-sims, --cim-sims, --bdhs-*\n"
+    "                     apply; report rows lead with their group's title\n"
     "\n"
     "sweep (budget sweep with warm RR-pool reuse across points):\n"
     "  --sweep POINTS     \"10,30,50\" uniform | \"10:50:20\" range lo:hi:step |\n"
@@ -105,10 +104,6 @@ constexpr const char* kUsage =
     "  --seed S           solver RNG seed           (default 1)\n"
     "  --workers N        threads, 0 = hardware     (default 0)\n"
     "  --model M          ic | lt                   (default ic)\n"
-    "  --sampling-kernel K  auto | scan | skip RR sampling kernel\n"
-    "                     (default auto = geometric skip-sampling;\n"
-    "                      kernels are statistically equivalent but draw\n"
-    "                      different RNG sequences)\n"
     "  --greedy-sims N    mc-greedy simulations/evaluation (default 200)\n"
     "  --cim-sims N       rr-cim forward simulations       (default 200)\n"
     "  --bdhs-variant V   step | concave            (default step)\n"
@@ -425,12 +420,6 @@ int Run(int argc, char** argv) {
   }
   options.bdhs.kappa = flags.GetDouble("kappa", 0.0);
   options.bdhs.uniform_p = flags.GetDouble("uniform-p", 0.01);
-  const std::string kernel = flags.GetString("sampling-kernel", "auto");
-  if (!ParseSamplingKernel(kernel, &options.rr_options.kernel)) {
-    std::fprintf(stderr, "uic_run: unknown --sampling-kernel '%s'\n",
-                 kernel.c_str());
-    return 1;
-  }
 
   // --- groups: a spec file's, or the one the flags describe ---------------
   std::vector<Json> specs;

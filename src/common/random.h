@@ -92,8 +92,8 @@ class Rng {
   bool NextBernoulli(double p) { return NextDouble() < p; }
 
   /// Number of consecutive failures before the next success of a
-  /// Bernoulli(p) trial sequence — the geometric gap skip-sampling
-  /// kernels jump by (graph/sampling_plan.h). Takes the precomputed
+  /// Bernoulli(p) trial sequence — the geometric gap the sampling plan's
+  /// skip path jumps by (graph/sampling_plan.h). Takes the precomputed
   /// `log1p(-p)` (must be < 0, i.e. p > 0) and consumes exactly one
   /// uniform draw:
   ///   gap = floor(log1p(-U) / log1p(-p)),  U = NextDouble().

@@ -9,11 +9,14 @@
 namespace uic {
 
 IcSimulator::IcSimulator(const Graph& graph, const SamplingPlan* plan)
-    : graph_(graph), plan_(plan), visited_epoch_(graph.num_nodes(), 0) {
-  if (plan_ != nullptr) {
-    UIC_CHECK(plan_->direction() == SamplingPlan::Direction::kForward);
-    UIC_CHECK(plan_->has_ic_buckets());
+    : plan_(plan), visited_epoch_(graph.num_nodes(), 0) {
+  if (plan_ == nullptr) {
+    owned_plan_ = SamplingPlan::Build(graph, SamplingPlan::Direction::kForward,
+                                      SamplingPlan::kIcBuckets);
+    plan_ = owned_plan_.get();
   }
+  UIC_CHECK(plan_->direction() == SamplingPlan::Direction::kForward);
+  UIC_CHECK(plan_->has_ic_buckets());
 }
 
 void IcSimulator::TryActivate(NodeId v, std::vector<NodeId>* activated_out,
@@ -41,31 +44,9 @@ size_t IcSimulator::RunOnce(const std::vector<NodeId>& seeds, Rng& rng,
   while (!frontier_.empty()) {
     next_.clear();
     for (NodeId u : frontier_) {
-      if (plan_ != nullptr && !plan_->IsGeneral(u)) {
-        // Skip kernel: geometric jumps over each probability bucket of
-        // u's out-adjacency (same cascade distribution as the scan; see
-        // sampling_plan.h).
-        for (const SamplingPlan::Bucket& b : plan_->Buckets(u)) {
-          size_t i = rng.NextGeometric(b.log1p_neg_p);
-          while (i < b.size) {
-            TryActivate(b.nodes[i], activated_out, &activated);
-            if (i + 1 >= b.size) break;  // no edges left: no closing draw
-            i += 1 + rng.NextGeometric(b.log1p_neg_p);
-          }
-        }
-        continue;
-      }
-      auto nbrs = graph_.OutNeighbors(u);
-      auto probs = graph_.OutProbs(u);
-      for (size_t k = 0; k < nbrs.size(); ++k) {
-        const NodeId v = nbrs[k];
-        if (visited_epoch_[v] == epoch_) continue;
-        if (!rng.NextBernoulli(probs[k])) continue;
-        visited_epoch_[v] = epoch_;
-        next_.push_back(v);
-        ++activated;
-        if (activated_out) activated_out->push_back(v);
-      }
+      plan_->ForEachLiveEdge(
+          u, rng, [&](NodeId v) { return visited_epoch_[v] == epoch_; },
+          [&](NodeId v) { TryActivate(v, activated_out, &activated); });
     }
     frontier_.swap(next_);
   }
@@ -73,15 +54,12 @@ size_t IcSimulator::RunOnce(const std::vector<NodeId>& seeds, Rng& rng,
 }
 
 double EstimateSpread(const Graph& graph, const std::vector<NodeId>& seeds,
-                      size_t num_simulations, uint64_t seed, unsigned workers,
-                      SamplingKernel kernel) {
+                      size_t num_simulations, uint64_t seed,
+                      unsigned workers) {
   if (num_simulations == 0) return 0.0;
-  std::shared_ptr<const SamplingPlan> plan;
-  if (ResolveSamplingKernel(kernel) == SamplingKernel::kSkip) {
-    // One forward plan shared (read-only) by every stream's simulator.
-    plan = SamplingPlan::Build(graph, SamplingPlan::Direction::kForward,
-                               SamplingPlan::kIcBuckets);
-  }
+  // One forward plan shared (read-only) by every stream's simulator.
+  const std::shared_ptr<const SamplingPlan> plan = SamplingPlan::Build(
+      graph, SamplingPlan::Direction::kForward, SamplingPlan::kIcBuckets);
   std::atomic<uint64_t> total{0};
   ParallelForStreams(num_simulations, workers,
                      [&](unsigned s, size_t begin, size_t end) {

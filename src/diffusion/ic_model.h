@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
@@ -12,12 +13,11 @@ namespace uic {
 
 /// \brief Reusable IC forward simulator (buffers amortized across runs).
 ///
-/// With a forward-direction `SamplingPlan` (kIcBuckets) the simulator
-/// tests out-edges by geometric skip-sampling instead of per-edge trials
-/// — same cascade distribution, different RNG draw sequence (see
-/// graph/sampling_plan.h). With `plan == nullptr` it runs the legacy
-/// per-edge scan. The plan must be built for this graph and outlive the
-/// simulator.
+/// Out-edges are drawn through a forward-direction `SamplingPlan`
+/// (kIcBuckets), which picks per node between per-edge trials and
+/// geometric skips (graph/sampling_plan.h). A supplied plan must be built
+/// for this graph and outlive the simulator; with `plan == nullptr` the
+/// simulator builds its own.
 class IcSimulator {
  public:
   explicit IcSimulator(const Graph& graph,
@@ -32,7 +32,7 @@ class IcSimulator {
   void TryActivate(NodeId v, std::vector<NodeId>* activated_out,
                    size_t* activated);
 
-  const Graph& graph_;
+  std::shared_ptr<const SamplingPlan> owned_plan_;
   const SamplingPlan* plan_;
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;
@@ -43,14 +43,11 @@ class IcSimulator {
 /// \brief Monte-Carlo estimate of the influence spread σ(S).
 ///
 /// Runs `num_simulations` cascades on the fixed stream grid (independent
-/// deterministic RNG streams derived from `seed`); the result depends on
-/// (`seed`, `kernel`) alone, `workers` only bounds concurrency. The
-/// default kernel resolves to skip-sampling (one shared forward plan
-/// across all streams); pass SamplingKernel::kScan for the legacy
-/// per-edge draw sequence.
+/// deterministic RNG streams derived from `seed`, every stream sampling
+/// through one shared forward plan); the result depends on `seed` alone,
+/// `workers` only bounds concurrency.
 double EstimateSpread(const Graph& graph, const std::vector<NodeId>& seeds,
                       size_t num_simulations, uint64_t seed,
-                      unsigned workers = 0,
-                      SamplingKernel kernel = SamplingKernel::kAuto);
+                      unsigned workers = 0);
 
 }  // namespace uic

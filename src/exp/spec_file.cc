@@ -63,7 +63,9 @@ Result<SweepGroup> LoadGroup(const Json& group, const SolverOptions& base,
   }
 
   SweepGroup out;
-  out.title = serve::GetStringField(group, "title");
+  Result<std::string> title = serve::GetStringField(group, "title");
+  if (!title.ok()) return title.status();
+  out.title = title.value();
   std::shared_ptr<const Graph>& graph = (*graphs)[graph_body->Dump()];
   if (graph == nullptr) {
     Result<Graph> built = serve::BuildGraphFromSpec(*graph_body);
@@ -80,12 +82,13 @@ Result<SweepGroup> LoadGroup(const Json& group, const SolverOptions& base,
     spec.params = params.MoveValue();
   }
 
-  const std::string model = serve::GetStringField(group, "model", "ic");
-  if (model != "ic" && model != "lt") {
+  Result<std::string> model = serve::GetStringField(group, "model", "ic");
+  if (!model.ok()) return model.status();
+  if (model.value() != "ic" && model.value() != "lt") {
     return Status::InvalidArgument("'model' must be \"ic\" or \"lt\"");
   }
-  spec.model = model == "lt" ? DiffusionModel::kLinearThreshold
-                             : DiffusionModel::kIndependentCascade;
+  spec.model = model.value() == "lt" ? DiffusionModel::kLinearThreshold
+                                     : DiffusionModel::kIndependentCascade;
 
   // The `solve` verb's ranges and defaults.
   spec.options = base;

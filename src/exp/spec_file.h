@@ -47,7 +47,7 @@ struct SweepGroup {
     const serve::Json& doc);
 
 /// \brief Build each group's graph, params and SweepSpec. Every spec starts
-/// from `base` (workers, kernel and per-solver knobs); the group sets
+/// from `base` (workers and per-solver knobs); the group sets
 /// seed, eps and ell on top. Identical `graph` bodies build one Graph.
 [[nodiscard]] Result<std::vector<SweepGroup>> LoadSweepGroups(
     const std::vector<serve::Json>& groups, const SolverOptions& base);

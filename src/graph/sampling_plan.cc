@@ -7,36 +7,26 @@
 
 namespace uic {
 
-const char* SamplingKernelName(SamplingKernel k) {
-  switch (k) {
-    case SamplingKernel::kAuto: return "auto";
-    case SamplingKernel::kScan: return "scan";
-    case SamplingKernel::kSkip: return "skip";
-  }
-  return "auto";
-}
+namespace {
 
-bool ParseSamplingKernel(const std::string& name, SamplingKernel* out) {
-  if (name == "auto") {
-    *out = SamplingKernel::kAuto;
-  } else if (name == "scan") {
-    *out = SamplingKernel::kScan;
-  } else if (name == "skip") {
-    *out = SamplingKernel::kSkip;
-  } else {
-    return false;
-  }
-  return true;
-}
+// Relative cost of one geometric draw (a log1p and a division) to one
+// per-edge Bernoulli trial, calibrated on the BM_SamplePool schemes. A
+// node scans when kScanCostRatio × its skip path's expected draws is at
+// least the number of edges a scan would test. Changing it reclassifies
+// nodes, which changes every sampled pool and golden.
+constexpr double kScanCostRatio = 6.0;
+
+}  // namespace
 
 std::shared_ptr<const SamplingPlan> SamplingPlan::Build(const Graph& graph,
                                                         Direction direction,
                                                         uint32_t features) {
   UIC_CHECK(features != 0);
   std::shared_ptr<SamplingPlan> plan(new SamplingPlan());
+  plan->graph_ = &graph;
   plan->direction_ = direction;
   plan->features_ = features;
-  plan->general_.assign(graph.num_nodes(), 0);
+  plan->scan_.assign(graph.num_nodes(), 0);
   if ((features & kIcBuckets) != 0) plan->BuildBuckets(graph);
   if ((features & kLtAlias) != 0) {
     UIC_CHECK_MSG(direction == Direction::kReverse,
@@ -61,7 +51,7 @@ void SamplingPlan::BuildBuckets(const Graph& graph) {
     auto probs = Probs(graph, v);
     distinct.clear();
     counts.clear();
-    bool general = false;
+    bool scan = false;
     uint32_t positive = 0;
     for (float p : probs) {
       if (!(p > 0.0f)) continue;  // dead edge: never fires, drop from plan
@@ -71,19 +61,28 @@ void SamplingPlan::BuildBuckets(const Graph& graph) {
       if (j < distinct.size()) {
         ++counts[j];
       } else if (distinct.size() == kMaxDistinct) {
-        general = true;
+        scan = true;
         break;
       } else {
         distinct.push_back(p);
         counts.push_back(1);
       }
     }
-    if (general) {
-      general_[v] = 1;
-      ++num_general_;
+    if (distinct.empty()) continue;  // isolated or all-dead: no buckets
+    if (!scan) {
+      // The skip path's expected draws: one per bucket to find its first
+      // live edge (or run past its end), plus one per further live edge.
+      double skip_draws = 0.0;
+      for (size_t j = 0; j < distinct.size(); ++j) {
+        skip_draws += 1.0 + counts[j] * static_cast<double>(distinct[j]);
+      }
+      scan = kScanCostRatio * skip_draws >= positive;
+    }
+    if (scan) {
+      scan_[v] = 1;
+      ++num_scan_;
       continue;
     }
-    if (distinct.empty()) continue;  // isolated or all-dead: no buckets
     total_buckets += distinct.size();
     if (distinct.size() == 1 && counts[0] == probs.size()) {
       uniform[v] = 1;  // whole CSR slice is one bucket: alias it, no copy
@@ -103,7 +102,7 @@ void SamplingPlan::BuildBuckets(const Graph& graph) {
   std::vector<std::pair<float, uint32_t>> order;
   for (NodeId v = 0; v < n; ++v) {
     bucket_off_[v] = static_cast<uint32_t>(buckets_.size());
-    if (general_[v]) continue;
+    if (scan_[v]) continue;
     auto srcs = Slice(graph, v);
     auto probs = Probs(graph, v);
     if (uniform[v]) {

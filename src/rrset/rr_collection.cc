@@ -23,20 +23,17 @@ RrSampler::RrSampler(const Graph& graph, RrOptions options)
     : graph_(graph),
       options_(options),
       visited_epoch_(graph.num_nodes(), 0) {
-  if (ResolveSamplingKernel(options_.kernel) == SamplingKernel::kSkip) {
-    const uint32_t features = options_.linear_threshold
-                                  ? SamplingPlan::kLtAlias
-                                  : SamplingPlan::kIcBuckets;
-    if (options_.sampling_plan == nullptr) {
-      owned_plan_ = SamplingPlan::Build(
-          graph, SamplingPlan::Direction::kReverse, features);
-      options_.sampling_plan = owned_plan_.get();
-    }
-    plan_ = options_.sampling_plan;
-    UIC_CHECK(plan_->direction() == SamplingPlan::Direction::kReverse);
-    UIC_CHECK(options_.linear_threshold ? plan_->has_lt_alias()
-                                        : plan_->has_ic_buckets());
+  if (options_.sampling_plan == nullptr) {
+    owned_plan_ = SamplingPlan::Build(graph, SamplingPlan::Direction::kReverse,
+                                      options_.linear_threshold
+                                          ? SamplingPlan::kLtAlias
+                                          : SamplingPlan::kIcBuckets);
+    options_.sampling_plan = owned_plan_.get();
   }
+  plan_ = options_.sampling_plan;
+  UIC_CHECK(plan_->direction() == SamplingPlan::Direction::kReverse);
+  UIC_CHECK(options_.linear_threshold ? plan_->has_lt_alias()
+                                      : plan_->has_ic_buckets());
 }
 
 size_t RrSampler::SampleInto(Rng& rng, std::vector<NodeId>* out) {
@@ -69,70 +66,9 @@ bool RrSampler::TryVisit(NodeId u, Rng& rng, std::vector<NodeId>* arena) {
   return true;
 }
 
-void RrSampler::ExpandScan(NodeId w, Rng& rng, std::vector<NodeId>* arena) {
-  auto srcs = graph_.InNeighbors(w);
-  auto probs = graph_.InProbs(w);
-  for (size_t k = 0; k < srcs.size(); ++k) {
-    const NodeId u = srcs[k];
-    if (visited_epoch_[u] == epoch_) continue;
-    if (!rng.NextBernoulli(probs[k])) continue;
-    if (TryVisit(u, rng, arena)) queue_.push_back(u);
-  }
-}
-
-void RrSampler::ExpandSkip(NodeId w, Rng& rng, std::vector<NodeId>* arena) {
-  // Geometric skip: within a bucket every edge shares probability p, so
-  // the index gap to the next live edge is geometric — one draw per live
-  // edge (plus at most one closing draw per bucket; none is spent once
-  // the last edge has been reached, which keeps size-1 buckets on the
-  // exact Bernoulli draw sequence). Unlike the scan kernel this also
-  // "flips" coins for edges into already-visited nodes; those coins never
-  // affect the sampled set, so the set distribution is identical (only
-  // the draw sequence differs).
-  for (const SamplingPlan::Bucket& b : plan_->Buckets(w)) {
-    size_t i = rng.NextGeometric(b.log1p_neg_p);
-    while (i < b.size) {
-      if (TryVisit(b.nodes[i], rng, arena)) queue_.push_back(b.nodes[i]);
-      if (i + 1 >= b.size) break;  // no edges left: skip the closing draw
-      i += 1 + rng.NextGeometric(b.log1p_neg_p);
-    }
-  }
-}
-
-size_t RrSampler::LtWalkScan(NodeId root, Rng& rng,
-                             std::vector<NodeId>* arena) {
-  // LT live-edge: reverse random walk — each node contributes at most
-  // one in-edge, selected with probability proportional to its weight.
-  size_t edges = 0;
-  NodeId w = root;
-  while (true) {
-    auto srcs = graph_.InNeighbors(w);
-    auto probs = graph_.InProbs(w);
-    edges += srcs.size();
-    NodeId src = ~NodeId{0};
-    double r = rng.NextDouble();
-    for (size_t k = 0; k < srcs.size(); ++k) {
-      if (r < probs[k]) {
-        src = srcs[k];
-        break;
-      }
-      r -= probs[k];
-    }
-    if (src == ~NodeId{0} || visited_epoch_[src] == epoch_) break;
-    if (options_.node_pass_prob != nullptr &&
-        !rng.NextBernoulli((*options_.node_pass_prob)[src])) {
-      break;
-    }
-    visited_epoch_[src] = epoch_;
-    arena->push_back(src);
-    w = src;
-  }
-  return edges;
-}
-
-size_t RrSampler::LtWalkAlias(NodeId root, Rng& rng,
-                              std::vector<NodeId>* arena) {
-  // Same walk, O(1) per step via the plan's alias tables.
+size_t RrSampler::LtWalk(NodeId root, Rng& rng, std::vector<NodeId>* arena) {
+  // LT live-edge: reverse random walk — each node contributes at most one
+  // in-edge, drawn in O(1) from the plan's alias tables.
   size_t edges = 0;
   NodeId w = root;
   while (true) {
@@ -160,10 +96,7 @@ size_t RrSampler::SampleRootedAppend(NodeId root, Rng& rng,
   }
   visited_epoch_[root] = epoch_;
   arena->push_back(root);
-  if (options_.linear_threshold) {
-    return plan_ != nullptr ? LtWalkAlias(root, rng, arena)
-                            : LtWalkScan(root, rng, arena);
-  }
+  if (options_.linear_threshold) return LtWalk(root, rng, arena);
   queue_.clear();
   queue_.push_back(root);
   size_t head = 0;
@@ -171,13 +104,13 @@ size_t RrSampler::SampleRootedAppend(NodeId root, Rng& rng,
   while (head < queue_.size()) {
     const NodeId w = queue_[head++];
     // EPT accounting counts every in-edge of a visited node as examined,
-    // including edges the skip kernel jumps over (rr_collection.h).
+    // including edges a geometric skip jumps over (rr_collection.h).
     edges += graph_.InDegree(w);
-    if (plan_ != nullptr && !plan_->IsGeneral(w)) {
-      ExpandSkip(w, rng, arena);
-    } else {
-      ExpandScan(w, rng, arena);
-    }
+    plan_->ForEachLiveEdge(
+        w, rng, [&](NodeId u) { return visited_epoch_[u] == epoch_; },
+        [&](NodeId u) {
+          if (TryVisit(u, rng, arena)) queue_.push_back(u);
+        });
   }
   return edges;
 }

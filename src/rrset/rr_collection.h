@@ -69,17 +69,6 @@ struct RrOptions {
   /// collection.
   RrStreamCache* stream_cache = nullptr;
 
-  /// Sampling kernel (graph/sampling_plan.h). kScan is the legacy
-  /// per-edge-trial kernel; kSkip draws geometric gaps over the graph's
-  /// probability-stratified plan (falling back to per-edge scanning for
-  /// nodes the plan classifies kGeneral); kAuto — the default — resolves
-  /// to kSkip. The kernels draw DIFFERENT RNG sequences, so the kernel is
-  /// part of the pool's identity: every determinism guarantee (pure
-  /// function of (graph, options, seed), worker/schedule invariance,
-  /// warm==cold) holds per kernel, and the resolved kernel joins the
-  /// stream cache's entry key.
-  SamplingKernel kernel = SamplingKernel::kAuto;
-
   /// Optional pre-built reverse-direction sampling plan for the graph.
   /// Borrowed, not owned (it must outlive the consumer), and non-semantic
   /// like `stream_cache`: a plan is a pure function of the graph, so
@@ -87,7 +76,7 @@ struct RrOptions {
   /// pool. A cold collection's private cache and a standalone RrSampler
   /// use it; a shared `stream_cache` ignores it (the cache may outlive
   /// the plan) and builds its own. nullptr = consumers build and cache
-  /// their own when the resolved kernel needs one.
+  /// their own.
   const SamplingPlan* sampling_plan = nullptr;
 };
 
@@ -204,19 +193,21 @@ class RrCollection {
 
 /// \brief Single-threaded RR sampler (exposed for tests and custom loops).
 ///
-/// If the resolved kernel is kSkip and no plan was supplied in the
-/// options, the sampler builds its own (with exactly the features the
-/// options need) — convenient standalone, but per-stream loops should
-/// share one plan via `RrOptions::sampling_plan`.
+/// Edges are drawn through the graph's reverse `SamplingPlan`, which picks
+/// per node between per-edge trials and geometric skips (IC) or holds the
+/// alias tables (LT). If no plan was supplied in the options, the sampler
+/// builds its own (with exactly the features the options need) —
+/// convenient standalone, but per-stream loops should share one plan via
+/// `RrOptions::sampling_plan`.
 class RrSampler {
  public:
   explicit RrSampler(const Graph& graph, RrOptions options = {});
 
   /// Sample one RR set rooted at a uniformly random node into `out`
   /// (cleared first). Returns the number of in-edges examined — which, by
-  /// the EPT cost-model convention, counts edges the skip kernel jumped
-  /// over as examined too (always Σ deg over visited nodes, kernel
-  /// independent).
+  /// the EPT cost-model convention, counts edges a geometric skip jumped
+  /// over as examined too (always Σ deg over visited nodes, whichever
+  /// path each node takes).
   size_t SampleInto(Rng& rng, std::vector<NodeId>* out);
 
   /// Sample one RR set with the given root (into a cleared `out`).
@@ -231,20 +222,15 @@ class RrSampler {
   size_t SampleRootedAppend(NodeId root, Rng& rng, std::vector<NodeId>* arena);
 
  private:
-  /// Skip-kernel IC expansion of one dequeued node's in-adjacency.
-  void ExpandSkip(NodeId w, Rng& rng, std::vector<NodeId>* arena);
-  /// Scan-kernel (and kGeneral fallback) expansion.
-  void ExpandScan(NodeId w, Rng& rng, std::vector<NodeId>* arena);
-  /// Visited/pass-prob bookkeeping shared by both kernels; returns true
-  /// if `u` joined the set (and the BFS queue).
+  /// Visited/pass-prob bookkeeping of the IC expansion; returns true if
+  /// `u` joined the set (and the BFS queue).
   bool TryVisit(NodeId u, Rng& rng, std::vector<NodeId>* arena);
 
-  size_t LtWalkScan(NodeId root, Rng& rng, std::vector<NodeId>* arena);
-  size_t LtWalkAlias(NodeId root, Rng& rng, std::vector<NodeId>* arena);
+  size_t LtWalk(NodeId root, Rng& rng, std::vector<NodeId>* arena);
 
   const Graph& graph_;
   RrOptions options_;
-  const SamplingPlan* plan_ = nullptr;  ///< set iff resolved kernel is kSkip
+  const SamplingPlan* plan_ = nullptr;  ///< options_.sampling_plan, never null
   std::shared_ptr<const SamplingPlan> owned_plan_;
   std::vector<uint32_t> visited_epoch_;
   uint32_t epoch_ = 0;

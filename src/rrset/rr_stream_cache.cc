@@ -55,10 +55,9 @@ void RrStreamCache::BindGraph(const Graph& graph) {
 RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
                                               const RrOptions& options) {
   const bool has_pp = options.node_pass_prob != nullptr;
-  const SamplingKernel kernel = ResolveSamplingKernel(options.kernel);
   for (const auto& e : entries_) {
     if (e->seed != seed || e->linear_threshold != options.linear_threshold ||
-        e->has_pass_prob != has_pp || e->kernel != kernel) {
+        e->has_pass_prob != has_pp) {
       continue;
     }
     // Pass probabilities are keyed by *contents* (callers typically rebuild
@@ -71,23 +70,20 @@ RrStreamCache::Entry* RrStreamCache::GetEntry(uint64_t seed,
   e->seed = seed;
   e->linear_threshold = options.linear_threshold;
   e->has_pass_prob = has_pp;
-  e->kernel = kernel;
   if (has_pp) e->pass_prob = *options.node_pass_prob;
-  if (kernel == SamplingKernel::kSkip) {
-    e->plan = options.sampling_plan;
-    if (e->plan == nullptr) {
-      // One plan per bound graph and feature, shared across entries; built
-      // here (serially) so concurrent EnsureSamples calls only read it.
-      std::shared_ptr<const SamplingPlan>& plan =
-          options.linear_threshold ? lt_plan_ : ic_plan_;
-      if (plan == nullptr) {
-        plan = SamplingPlan::Build(*graph_, SamplingPlan::Direction::kReverse,
-                                   options.linear_threshold
-                                       ? SamplingPlan::kLtAlias
-                                       : SamplingPlan::kIcBuckets);
-      }
-      e->plan = plan.get();
+  e->plan = options.sampling_plan;
+  if (e->plan == nullptr) {
+    // One plan per bound graph and feature, shared across entries; built
+    // here (serially) so concurrent EnsureSamples calls only read it.
+    std::shared_ptr<const SamplingPlan>& plan =
+        options.linear_threshold ? lt_plan_ : ic_plan_;
+    if (plan == nullptr) {
+      plan = SamplingPlan::Build(*graph_, SamplingPlan::Direction::kReverse,
+                                 options.linear_threshold
+                                     ? SamplingPlan::kLtAlias
+                                     : SamplingPlan::kIcBuckets);
     }
+    e->plan = plan.get();
   }
   e->streams.resize(kRrStreams);
   for (unsigned s = 0; s < kRrStreams; ++s) {
@@ -105,7 +101,6 @@ void RrStreamCache::EnsureSamples(Entry* entry, unsigned s, size_t count) {
   RrOptions options;
   options.linear_threshold = entry->linear_threshold;
   if (entry->has_pass_prob) options.node_pass_prob = &entry->pass_prob;
-  options.kernel = entry->kernel;
   options.sampling_plan = entry->plan;
   RrSampler sampler(*graph_, options);
 
@@ -139,7 +134,7 @@ void RrStreamCache::EnsureSamples(Entry* entry, unsigned s, size_t count) {
                      "RR sets freshly sampled (cold path + cache fills).");
   rr_sets.Add(need);
   UIC_METRIC_COUNTER(rr_edges, "uic_rr_edges_examined_total",
-                     "Edges examined by the RR sampling kernels.");
+                     "Edges examined by the RR sampler.");
   rr_edges.Add(edges_total);
 }
 

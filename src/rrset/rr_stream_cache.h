@@ -97,22 +97,19 @@ class RrStreamCache {
     std::vector<Sample> samples;
   };
 
-  /// Streams for one (seed, sampling semantics) group. The RESOLVED
-  /// kernel is part of the key: the kernels draw different RNG sequences,
-  /// so kScan and kSkip streams for the same seed are distinct sample
-  /// sequences (kAuto and kSkip resolve identically and share an entry).
+  /// Streams for one (seed, sampling semantics) group.
   struct Entry {
     uint64_t seed = 0;
     bool linear_threshold = false;
     bool has_pass_prob = false;
-    SamplingKernel kernel = SamplingKernel::kSkip;  ///< resolved, never kAuto
     std::vector<float> pass_prob;  ///< copied contents, exact-match keyed
     std::vector<Stream> streams;   ///< kRrStreams
-    /// Plan the entry's samplers run on (null for kScan): the caller's
+    /// Plan the entry's samplers run on: the caller's
     /// `RrOptions::sampling_plan` if set, else a cache-owned plan shared
     /// across entries and built once per bound graph. Resolving it in
     /// GetEntry — serially, before EnsureSamples fans out — is what keeps
-    /// the concurrent stream extensions free of shared mutation.
+    /// the concurrent stream extensions free of shared mutation. The plan
+    /// is a pure function of the graph, so it is not part of the key.
     const SamplingPlan* plan = nullptr;
   };
 
@@ -130,8 +127,8 @@ class RrStreamCache {
 
   const Graph* graph_ = nullptr;
   std::vector<std::unique_ptr<Entry>> entries_;
-  /// Lazily built skip-kernel plans for the bound graph, shared by every
-  /// entry that needs them (cleared with the entries on Clear()).
+  /// Lazily built sampling plans for the bound graph (IC buckets, LT alias
+  /// tables), shared by every entry (cleared with the entries on Clear()).
   std::shared_ptr<const SamplingPlan> ic_plan_;
   std::shared_ptr<const SamplingPlan> lt_plan_;
   // Monotone lifetime counters; sampled_* are only ever touched under the

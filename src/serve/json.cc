@@ -365,10 +365,14 @@ std::string JsonNumberToString(double v) {
   return buf;
 }
 
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def) {
+Result<std::string> GetStringField(const Json& body, const char* key,
+                                   const std::string& def) {
   const Json* field = body.Find(key);
-  if (field == nullptr || !field->is_string()) return def;
+  if (field == nullptr) return def;
+  if (!field->is_string()) {
+    return Status::InvalidArgument(std::string("'") + key +
+                                   "' must be a string");
+  }
   return field->AsString();
 }
 

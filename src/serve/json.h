@@ -127,9 +127,11 @@ std::string JsonNumberToString(double v);
 // Shared by the serve verbs, the session builders and the sweep spec
 // loader, so every body reports a bad field with the same wording.
 
-/// String member `key` of `body`; `def` when absent or not a string.
-std::string GetStringField(const Json& body, const char* key,
-                           const std::string& def = "");
+/// String member `key` of `body`; `def` when absent, InvalidArgument
+/// naming `key` for a non-string.
+[[nodiscard]] Result<std::string> GetStringField(const Json& body,
+                                                 const char* key,
+                                                 const std::string& def = "");
 
 /// Integer member in [lo, hi]; `def` when absent, InvalidArgument naming
 /// `key` for a non-number, a fraction or an out-of-range value.

@@ -285,14 +285,15 @@ std::string Server::HandleRequest(const Request& request) {
 
 Result<Json> Server::DoLoadGraph(Call& call) {
   const Json& body = call.request.body;
-  const std::string name = GetStringField(body, "name");
-  if (name.empty()) {
+  Result<std::string> name = GetStringField(body, "name");
+  if (!name.ok()) return name.status();
+  if (name.value().empty()) {
     return Status::InvalidArgument("load_graph needs a 'name'");
   }
   Result<Graph> graph = BuildGraphFromSpec(body);
   if (!graph.ok()) return graph.status();
   Result<GraphSession> session =
-      sessions_.AddGraph(name, graph.MoveValue());
+      sessions_.AddGraph(name.value(), graph.MoveValue());
   if (!session.ok()) {
     // The registry caps are admission control: a full registry sheds the
     // load (kOverloaded) rather than reporting a client mistake.
@@ -313,14 +314,15 @@ Result<Json> Server::DoLoadGraph(Call& call) {
 
 Result<Json> Server::DoLoadParams(Call& call) {
   const Json& body = call.request.body;
-  const std::string name = GetStringField(body, "name");
-  if (name.empty()) {
+  Result<std::string> name = GetStringField(body, "name");
+  if (!name.ok()) return name.status();
+  if (name.value().empty()) {
     return Status::InvalidArgument("load_params needs a 'name'");
   }
   Result<ItemParams> params = BuildParamsFromSpec(body);
   if (!params.ok()) return params.status();
   Result<ParamsSession> session =
-      sessions_.AddParams(name, params.MoveValue());
+      sessions_.AddParams(name.value(), params.MoveValue());
   if (!session.ok()) {
     // As for graphs: a full registry sheds the load.
     call.shed = session.status().code() == Status::Code::kFailedPrecondition;
@@ -335,8 +337,12 @@ Result<Json> Server::DoLoadParams(Call& call) {
 }
 
 Result<Json> Server::DoUnload(const Json& body) {
-  const std::string graph_name = GetStringField(body, "graph");
-  const std::string params_name = GetStringField(body, "params");
+  Result<std::string> graph_field = GetStringField(body, "graph");
+  if (!graph_field.ok()) return graph_field.status();
+  Result<std::string> params_field = GetStringField(body, "params");
+  if (!params_field.ok()) return params_field.status();
+  const std::string& graph_name = graph_field.value();
+  const std::string& params_name = params_field.value();
   if (graph_name.empty() == params_name.empty()) {
     return Status::InvalidArgument(
         "unload needs exactly one of 'graph' or 'params'");
@@ -394,11 +400,12 @@ Result<Json> Server::DoSolve(Call& call) {
 
 Result<Json> Server::SolveAdmitted(Call& call) {
   const Json& body = call.request.body;
-  const std::string graph_name = GetStringField(body, "graph");
-  if (graph_name.empty()) {
+  Result<std::string> graph_name = GetStringField(body, "graph");
+  if (!graph_name.ok()) return graph_name.status();
+  if (graph_name.value().empty()) {
     return Status::InvalidArgument("solve needs a 'graph' session name");
   }
-  Result<GraphSession> graph_session = sessions_.GetGraph(graph_name);
+  Result<GraphSession> graph_session = sessions_.GetGraph(graph_name.value());
   if (!graph_session.ok()) return graph_session.status();
   const GraphSession& graph = graph_session.value();
 
@@ -423,18 +430,20 @@ Result<Json> Server::SolveAdmitted(Call& call) {
   problem.graph = graph.graph.get();
   problem.budgets = std::move(budgets);
 
-  const std::string params_name = GetStringField(body, "params");
-  if (!params_name.empty()) {
-    Result<ParamsSession> params = sessions_.GetParams(params_name);
+  Result<std::string> params_name = GetStringField(body, "params");
+  if (!params_name.ok()) return params_name.status();
+  if (!params_name.value().empty()) {
+    Result<ParamsSession> params = sessions_.GetParams(params_name.value());
     if (!params.ok()) return params.status();
     problem.params = *params.value().params;
   }
 
-  const std::string model = GetStringField(body, "model", "ic");
-  if (model != "ic" && model != "lt") {
+  Result<std::string> model = GetStringField(body, "model", "ic");
+  if (!model.ok()) return model.status();
+  if (model.value() != "ic" && model.value() != "lt") {
     return Status::InvalidArgument("'model' must be \"ic\" or \"lt\"");
   }
-  const bool lt = model == "lt";
+  const bool lt = model.value() == "lt";
   problem.model = lt ? DiffusionModel::kLinearThreshold
                      : DiffusionModel::kIndependentCascade;
 
@@ -449,8 +458,9 @@ Result<Json> Server::SolveAdmitted(Call& call) {
   if (!ell.ok()) return ell.status();
   options.ell = ell.value();
 
-  const std::string algorithm = GetStringField(body, "algorithm",
-                                               "bundle-grd");
+  Result<std::string> algorithm =
+      GetStringField(body, "algorithm", "bundle-grd");
+  if (!algorithm.ok()) return algorithm.status();
   Result<long long> eval_sims =
       GetIntField(body, "eval_sims", 0, 0, 1000000);
   if (!eval_sims.ok()) return eval_sims.status();
@@ -487,7 +497,7 @@ Result<Json> Server::SolveAdmitted(Call& call) {
 
   WallTimer timer;
   Result<std::unique_ptr<Solver>> solver =
-      SolverRegistry::CreateOrError(algorithm, options);
+      SolverRegistry::CreateOrError(algorithm.value(), options);
   if (!solver.ok()) return solver.status();
   Result<AllocationResult> solved = [&] {
     obs::TraceSpan solver_span("solver.solve");
@@ -529,7 +539,7 @@ Result<Json> Server::SolveAdmitted(Call& call) {
 
   Json result = Json::Object();
   result.Set("algorithm", Json::Str(solver.value()->name()));
-  result.Set("model", Json::Str(model));
+  result.Set("model", Json::Str(model.value()));
   result.Set("seed", Json::Int(seed.value()));
   result.Set("allocation", AllocationToJson(allocation_result.allocation));
   result.Set("num_rr_sets",

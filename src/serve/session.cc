@@ -1,5 +1,6 @@
 #include "serve/session.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -149,22 +150,30 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
   }
   const double p = p_field != nullptr ? p_field->AsDouble() : 0.0;
 
-  const std::string path = GetStringField(body, "path");
-  if (!path.empty()) {
-    Result<Graph> loaded = LoadGraph(path);
+  Result<std::string> path = GetStringField(body, "path");
+  if (!path.ok()) return path.status();
+  if (!path.value().empty()) {
+    Result<Graph> loaded = LoadGraph(path.value());
     if (loaded.ok() && p > 0.0) loaded.value().ApplyConstantProbability(p);
     return loaded;
   }
 
-  const std::string network = GetStringField(body, "network");
+  Result<std::string> network_field = GetStringField(body, "network");
+  if (!network_field.ok()) return network_field.status();
+  const std::string& network = network_field.value();
   if (network.empty()) {
     return Status::InvalidArgument(
         "load_graph needs either 'path' or a 'network' generator spec");
   }
   Result<long long> nodes = GetIntField(body, "nodes", 2000, 1, UINT32_MAX);
   if (!nodes.ok()) return nodes.status();
-  Result<long long> edges =
-      GetIntField(body, "edges", 6 * nodes.value(), 0, INT64_MAX);
+  // A simple digraph has at most n(n-1) edges, and CSR offsets are
+  // uint32_t.
+  const long long n = nodes.value();
+  const long long max_edges =
+      n > 65536 ? UINT32_MAX : std::min<long long>(n * (n - 1), UINT32_MAX);
+  Result<long long> edges = GetIntField(
+      body, "edges", std::min(6 * n, max_edges), 0, max_edges);
   if (!edges.ok()) return edges.status();
   Result<long long> net_seed =
       GetIntField(body, "net_seed", 20190630, 0, INT64_MAX);
@@ -175,6 +184,14 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
   Result<double> scale = GetNumberField(body, "scale", 0.3, 0.0, 1000.0);
   if (!scale.ok() || scale.value() <= 0.0) {
     return Status::InvalidArgument("'scale' must be a number in (0, 1000]");
+  }
+
+  // The generators' own preconditions: ER needs two nodes for an edge, PA
+  // attaches each node to 5 earlier ones.
+  if ((network == "er" && n < 2) || (network == "pa" && n < 6)) {
+    return Status::InvalidArgument("'nodes' must be at least " +
+                                   std::string(network == "er" ? "2" : "6") +
+                                   " for network '" + network + "'");
   }
 
   Graph graph;
@@ -205,10 +222,13 @@ Result<Graph> BuildGraphFromSpec(const Json& body) {
 }
 
 Result<ItemParams> BuildParamsFromSpec(const Json& body) {
-  const std::string path = GetStringField(body, "path");
-  if (!path.empty()) return LoadItemParams(path);
+  Result<std::string> path = GetStringField(body, "path");
+  if (!path.ok()) return path.status();
+  if (!path.value().empty()) return LoadItemParams(path.value());
 
-  const std::string config = GetStringField(body, "config");
+  Result<std::string> config_field = GetStringField(body, "config");
+  if (!config_field.ok()) return config_field.status();
+  const std::string& config = config_field.value();
   if (config.empty()) {
     return Status::InvalidArgument(
         "load_params needs either 'path' or 'config'");

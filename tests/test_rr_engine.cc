@@ -31,29 +31,18 @@ namespace {
 
 // --- golden values pinned from the stream-grid engine ------------------
 //
-// Two kernels, two golden families. The default (auto → skip) kernel draws
-// a different RNG sequence than the scan kernel, so each pins its own
-// goldens; the kScan pins are the pre-skip-kernel values, unchanged since
-// that kernel's draw sequence is untouched.
-constexpr uint64_t kGoldenIcPoolHash = 0xc90d2f7464a213d9ULL;
+// The sampling plan's per-node choice between the per-edge scan and the
+// geometric skip decides which draws are made, so these pin the plan's
+// classification rule too (graph/sampling_plan.h).
+constexpr uint64_t kGoldenIcPoolHash = 0x65b58ee8b6fd513bULL;
 constexpr uint64_t kGoldenLtPoolHash = 0x201e1a632f30d058ULL;
-constexpr uint64_t kGoldenCoverageHash = 0xe02d9082d553853cULL;
+constexpr uint64_t kGoldenCoverageHash = 0xb83ec8f2371e41cfULL;
 const std::vector<NodeId> kGoldenSeeds = {
-    98, 44, 34, 97, 109, 54, 199, 22, 20, 96, 48, 119, 41,
-    62, 134, 82, 197, 46, 47, 179, 189, 30, 18, 32, 40};
-const std::vector<NodeId> kGoldenPrimaSeeds = {89, 168, 52, 187, 104,
-                                               166, 93, 25, 12, 79};
-constexpr size_t kGoldenPrimaRrSets = 2435;
-
-constexpr uint64_t kGoldenScanIcPoolHash = 0xc50df440a80a50c4ULL;
-constexpr uint64_t kGoldenScanLtPoolHash = 0xc46b2e9a1265f51cULL;
-constexpr uint64_t kGoldenScanCoverageHash = 0x4b4cce635b7fd6a9ULL;
-const std::vector<NodeId> kGoldenScanSeeds = {
-    98, 44, 62, 43, 113, 65, 61, 18, 14, 94, 10, 179, 109,
-    189, 47, 97, 147, 48, 199, 30, 96, 54, 82, 134, 172};
-const std::vector<NodeId> kGoldenScanPrimaSeeds = {25, 85, 166, 89, 79,
-                                                   100, 296, 202, 279, 116};
-constexpr size_t kGoldenScanPrimaRrSets = 2282;
+    98, 44, 34, 43, 153, 18, 94, 90, 47, 189, 60, 179, 14,
+    161, 192, 38, 54, 199, 82, 48, 124, 172, 70, 119, 195};
+const std::vector<NodeId> kGoldenPrimaSeeds = {166, 52, 202, 185, 79,
+                                               284, 76, 85, 88, 89};
+constexpr size_t kGoldenPrimaRrSets = 2262;
 
 uint64_t Fnv1a(uint64_t h, uint64_t x) {
   for (int i = 0; i < 8; ++i) {
@@ -214,47 +203,6 @@ TEST(RrEngineGolden, IcPoolMatchesPinnedGoldenAtAnyWorkerCount) {
   }
 }
 
-TEST(RrEngineGolden, ScanKernelStillMatchesPreSkipGoldens) {
-  // The scan kernel's draw sequence predates the skip kernels; its goldens
-  // must never move. This is the proof that opting out of skip sampling
-  // reproduces historical pools bit-for-bit.
-  Graph g = GoldenGraph();
-  RrOptions scan;
-  scan.kernel = SamplingKernel::kScan;
-  for (unsigned workers : {1u, 4u, 8u}) {
-    RrCollection pool(g, 42, workers, scan);
-    pool.GenerateUntil(777);
-    pool.GenerateUntil(2000);
-    EXPECT_EQ(PoolHash(pool), kGoldenScanIcPoolHash) << "workers=" << workers;
-    const SeedSelection sel = NodeSelection(pool, 25);
-    EXPECT_EQ(sel.seeds, kGoldenScanSeeds) << "workers=" << workers;
-    EXPECT_EQ(CoverageHash(sel), kGoldenScanCoverageHash)
-        << "workers=" << workers;
-  }
-  RrOptions scan_lt = scan;
-  scan_lt.linear_threshold = true;
-  RrCollection lt_pool(g, 5, 4, scan_lt);
-  lt_pool.GenerateUntil(1500);
-  EXPECT_EQ(PoolHash(lt_pool), kGoldenScanLtPoolHash);
-
-  Graph pg = GenerateErdosRenyi(300, 1800, 3);
-  pg.ApplyWeightedCascade();
-  const ImResult r = Prima(pg, {10, 5, 3}, 0.5, 1.0, 11, 4, {}, scan);
-  EXPECT_EQ(r.seeds, kGoldenScanPrimaSeeds);
-  EXPECT_EQ(r.num_rr_sets, kGoldenScanPrimaRrSets);
-}
-
-TEST(RrEngineGolden, AutoKernelResolvesToSkip) {
-  // kAuto and kSkip are the same resolved kernel (per-node fallback to the
-  // general scan path is the plan's job, not the option's) — same goldens.
-  Graph g = GoldenGraph();
-  RrOptions skip;
-  skip.kernel = SamplingKernel::kSkip;
-  RrCollection pool(g, 42, 4, skip);
-  pool.GenerateUntil(2000);
-  EXPECT_EQ(PoolHash(pool), kGoldenIcPoolHash);
-}
-
 TEST(RrEngineGolden, PoolIsIndependentOfGrowthSchedule) {
   // The same golden must come out however the pool grows to 2000: RR set g
   // is always sample g/kRrStreams of stream g%kRrStreams.
@@ -276,6 +224,55 @@ TEST(RrEngineGolden, LtPoolMatchesPinnedGolden) {
   RrCollection pool(g, 5, 4, opt);
   pool.GenerateUntil(1500);
   EXPECT_EQ(PoolHash(pool), kGoldenLtPoolHash);
+}
+
+// --- both halves of the sampler -----------------------------------------
+//
+// The sampling plan sends each node down one of two expansion paths: the
+// per-edge scan or the geometric skip over its probability buckets. Each
+// pin is a graph on which the plan's cost rule picks one path for every
+// node, so each path's draw sequence is pinned on its own.
+
+constexpr uint64_t kGoldenScanHalfPoolHash = 0xc850895e2004f03bULL;
+constexpr uint64_t kGoldenSkipHalfPoolHash = 0xcb76b8226990394eULL;
+
+// Constant p = 0.15 on sparse ER: every node's in-degree is small enough
+// that one draw per edge beats the skip path's draws.
+Graph ScanHalfGraph() {
+  Graph g = GenerateErdosRenyi(200, 1200, 7);
+  g.ApplyConstantProbability(0.15);
+  return g;
+}
+
+// Weighted cascade on dense ER: every in-degree is large against the
+// expected two geometric draws per node.
+Graph SkipHalfGraph() {
+  Graph g = GenerateErdosRenyi(120, 4800, 7);
+  g.ApplyWeightedCascade();
+  return g;
+}
+
+TEST(RrEngineGolden, ScanHalfMatchesPinAtAnyWorkerCount) {
+  Graph g = ScanHalfGraph();
+  for (unsigned workers : {1u, 4u}) {
+    RrCollection pool(g, 42, workers);
+    pool.GenerateUntil(2000);
+    EXPECT_EQ(PoolHash(pool), kGoldenScanHalfPoolHash) << "workers=" << workers;
+  }
+}
+
+TEST(RrEngineGolden, SkipHalfMatchesPinAtAnyWorkerCount) {
+  Graph g = SkipHalfGraph();
+  NodeId min_in = g.num_edges();
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    min_in = std::min(min_in, g.InDegree(v));
+  }
+  ASSERT_GE(min_in, 21u);
+  for (unsigned workers : {1u, 4u}) {
+    RrCollection pool(g, 42, workers);
+    pool.GenerateUntil(2000);
+    EXPECT_EQ(PoolHash(pool), kGoldenSkipHalfPoolHash) << "workers=" << workers;
+  }
 }
 
 TEST(RrEngineGolden, PrimaSeedsMatchPinnedGoldenAtAnyWorkerCount) {
@@ -318,13 +315,12 @@ void ExpectPoolMatchesBareSampler(const Graph& g, uint64_t seed,
 }
 
 TEST(RrEngineReference, IcSkipPoolMatchesBareSampler) {
+  ExpectPoolMatchesBareSampler(SkipHalfGraph(), 42, {}, 2000);
   ExpectPoolMatchesBareSampler(GoldenGraph(), 42, {}, 2000);
 }
 
 TEST(RrEngineReference, IcScanPoolMatchesBareSampler) {
-  RrOptions scan;
-  scan.kernel = SamplingKernel::kScan;
-  ExpectPoolMatchesBareSampler(GoldenGraph(), 42, scan, 2000);
+  ExpectPoolMatchesBareSampler(ScanHalfGraph(), 42, {}, 2000);
 }
 
 TEST(RrEngineReference, LtPoolMatchesBareSampler) {

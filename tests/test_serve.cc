@@ -203,6 +203,35 @@ TEST(ServeSession, GraphSpecValidation) {
     EXPECT_EQ(g.status().code(), Status::Code::kInvalidArgument);
     EXPECT_NE(g.status().message().find("scale"), std::string::npos);
   }
+  // 'edges' is capped at a simple digraph's n(n-1) (and the uint32 CSR
+  // offsets): the ER generator sizes its tables by the edge count.
+  for (const char* spec :
+       {R"({"network":"er","nodes":10,"edges":91})",
+        R"({"network":"er","nodes":10,"edges":100000000000})",
+        R"({"network":"er","nodes":100000,"edges":4294967296})"}) {
+    Result<Json> body = Json::Parse(spec);
+    ASSERT_TRUE(body.ok());
+    Result<Graph> g = BuildGraphFromSpec(body.value());
+    ASSERT_FALSE(g.ok()) << spec;
+    EXPECT_EQ(g.status().code(), Status::Code::kInvalidArgument);
+    EXPECT_NE(g.status().message().find("edges"), std::string::npos);
+  }
+  Result<Json> full =
+      Json::Parse(R"({"network":"er","nodes":10,"edges":90})");
+  ASSERT_TRUE(full.ok());
+  Result<Graph> complete = BuildGraphFromSpec(full.value());
+  ASSERT_TRUE(complete.ok());
+  EXPECT_EQ(complete.value().num_edges(), 90u);
+  // The generators' node minimums, and non-string names, are typed errors.
+  for (const char* spec :
+       {R"({"network":"er","nodes":1})", R"({"network":"pa","nodes":5})",
+        R"({"network":7})", R"({"path":5})"}) {
+    Result<Json> body = Json::Parse(spec);
+    ASSERT_TRUE(body.ok());
+    Result<Graph> g = BuildGraphFromSpec(body.value());
+    ASSERT_FALSE(g.ok()) << spec;
+    EXPECT_EQ(g.status().code(), Status::Code::kInvalidArgument) << spec;
+  }
   Json params_bad = Json::Object();
   params_bad.Set("config", Json::Str("no-such-config"));
   EXPECT_FALSE(BuildParamsFromSpec(params_bad).ok());
@@ -362,6 +391,75 @@ TEST(ServeServer, PingStatsAndErrorPaths) {
   const Json stats = server.Stats();
   ASSERT_NE(stats.Find("requests"), nullptr);
   EXPECT_EQ(stats.Find("requests")->Find("errors")->AsInt(), 3);
+}
+
+// A present field of the wrong type is a bad request naming the field,
+// never a silent fallback to the field's default.
+void ExpectNotAString(Server& server, const std::string& line,
+                      const std::string& key) {
+  const std::string response = server.HandleLine(line);
+  EXPECT_NE(response.find("\"code\":\"bad_request\""), std::string::npos)
+      << line << " -> " << response;
+  EXPECT_NE(response.find("'" + key + "' must be a string"), std::string::npos)
+      << line << " -> " << response;
+}
+
+TEST(ServeServer, LoadGraphRejectsNonStringFields) {
+  Server server(GoldenOptions());
+  ExpectNotAString(
+      server, R"({"id":1,"verb":"load_graph","name":5,"network":"er"})",
+      "name");
+  // A numeric path must not fall through to generating the network.
+  ExpectNotAString(server,
+                   R"({"id":2,"verb":"load_graph","name":"g","path":5,)"
+                   R"("network":"er","nodes":50})",
+                   "path");
+  ExpectNotAString(
+      server, R"({"id":3,"verb":"load_graph","name":"g","network":["er"]})",
+      "network");
+}
+
+TEST(ServeServer, LoadParamsRejectsNonStringFields) {
+  Server server(GoldenOptions());
+  ExpectNotAString(
+      server,
+      R"({"id":1,"verb":"load_params","name":{},"config":"config12"})",
+      "name");
+  ExpectNotAString(
+      server, R"({"id":2,"verb":"load_params","name":"p","path":true})",
+      "path");
+  ExpectNotAString(
+      server, R"({"id":3,"verb":"load_params","name":"p","config":12})",
+      "config");
+}
+
+TEST(ServeServer, UnloadRejectsNonStringFields) {
+  Server server(GoldenOptions());
+  LoadFixtures(server);
+  ExpectNotAString(server, R"({"id":3,"verb":"unload","graph":1})", "graph");
+  ExpectNotAString(server, R"({"id":4,"verb":"unload","params":null})",
+                   "params");
+}
+
+TEST(ServeServer, SolveRejectsNonStringFields) {
+  Server server(GoldenOptions());
+  LoadFixtures(server);
+  ExpectNotAString(
+      server, R"({"id":3,"verb":"solve","graph":1,"budgets":[3,3]})",
+      "graph");
+  ExpectNotAString(
+      server,
+      R"({"id":4,"verb":"solve","graph":"g","params":2,"budgets":[3,3]})",
+      "params");
+  // Not the "ic" / "bundle-grd" defaults.
+  ExpectNotAString(server,
+                   R"({"id":5,"verb":"solve","graph":"g","params":"p",)"
+                   R"("budgets":[3,3],"model":5})",
+                   "model");
+  ExpectNotAString(server,
+                   R"({"id":6,"verb":"solve","graph":"g","params":"p",)"
+                   R"("budgets":[3,3],"algorithm":7})",
+                   "algorithm");
 }
 
 TEST(ServeServer, WarmResultIsByteIdenticalToColdAndSamplesNothing) {

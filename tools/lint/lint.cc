@@ -65,8 +65,8 @@ const std::vector<Rule>& RuleTable() {
        "(src/serve/net.h); socket syscalls live only in src/serve/net.cc"},
       {"UIC-L009", "per-edge-bernoulli",
        "a NextBernoulli loop over an adjacency probability array pays one "
-       "RNG draw per edge; the stratified SamplingPlan's geometric skip "
-       "kernel crosses low-probability spans in O(successes) draws",
+       "RNG draw per edge; the stratified SamplingPlan's geometric skips "
+       "cross low-probability spans in O(successes) draws",
        "sample through RrSampler/IcSimulator with a SamplingPlan "
        "(graph/sampling_plan.h); intentionally-general per-edge scans "
        "need a whitelist entry"},
@@ -318,12 +318,10 @@ std::vector<Violation> LintSource(const std::string& path,
   // The registry implementation and the macro layer that wraps it.
   const bool is_obs_layer = PathEndsWith(path, "obs/metrics.cc") ||
                             PathEndsWith(path, "obs/metrics.h");
-  // The sampling-plan kernels themselves: their scan fallbacks ARE the
-  // sanctioned per-edge Bernoulli loops (the general-node path and the
-  // scan kernel the skip kernel is validated against).
-  const bool is_sampling_kernel =
-      PathEndsWith(path, "rrset/rr_collection.cc") ||
-      PathEndsWith(path, "diffusion/ic_model.cc");
+  // The sampling plan itself: its scan path IS the sanctioned per-edge
+  // Bernoulli loop, taken by the nodes where a trial per edge is cheaper
+  // than geometric skips.
+  const bool is_sampling_plan = PathEndsWith(path, "graph/sampling_plan.h");
   // UIC-L007 covers library code only: tests/bench scaffolding may lock a
   // plain std::mutex, the library may not.
   const bool in_library = PathStartsWith(path, "src") ||
@@ -403,9 +401,9 @@ std::vector<Violation> LintSource(const std::string& path,
       Add(&out, path, line_no, "UIC-L008",
           "raw socket syscall outside src/serve/net.cc");
     }
-    if (!is_sampling_kernel && std::regex_search(line, re_edge_bernoulli)) {
+    if (!is_sampling_plan && std::regex_search(line, re_edge_bernoulli)) {
       Add(&out, path, line_no, "UIC-L009",
-          "per-edge Bernoulli scan outside the sampling-plan kernels");
+          "per-edge Bernoulli scan outside the sampling plan");
     }
     if (!in_library && std::regex_search(line, re_failpoint_site)) {
       Add(&out, path, line_no, "UIC-L010",

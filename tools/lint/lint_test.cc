@@ -110,11 +110,14 @@ TEST(UicLint, SocketIoRuleIgnoresMemberAndQualifiedNames) {
 TEST(UicLint, EdgeBernoulliRuleExemptsOnlyTheSamplingKernels) {
   const std::string source =
       ReadFile(TestDataPath() + "/violation_edge_bernoulli.cc");
-  // The scan kernels are the sanctioned per-edge Bernoulli loops...
-  EXPECT_TRUE(LintSource("src/rrset/rr_collection.cc", source).empty());
-  EXPECT_TRUE(LintSource("src/diffusion/ic_model.cc", source).empty());
-  // ...anywhere else the loop must go through a SamplingPlan kernel or
-  // earn a whitelist entry (as uic_model.cc's live-out scan does).
+  // The sampling plan's scan path is the sanctioned per-edge Bernoulli
+  // loop...
+  EXPECT_TRUE(LintSource("src/graph/sampling_plan.h", source).empty());
+  // ...anywhere else the loop must go through a SamplingPlan or earn a
+  // whitelist entry (as uic_model.cc's live-out scan does) — the plan's
+  // own consumers included.
+  EXPECT_EQ(LintSource("src/rrset/rr_collection.cc", source).size(), 1u);
+  EXPECT_EQ(LintSource("src/diffusion/ic_model.cc", source).size(), 1u);
   EXPECT_EQ(LintSource("src/diffusion/uic_model.cc", source).size(), 1u);
   EXPECT_EQ(LintSource("tests/test_models.cc", source).size(), 1u);
 }
